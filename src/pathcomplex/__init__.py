@@ -25,6 +25,7 @@ from .complexes import (
     cyclic_families,
     deserialize_complex,
     lift_clique_complex,
+    lift_complex,
     lift_path_complex,
     lift_ring_complex,
     serialize_complex,
@@ -99,6 +100,7 @@ __all__ = [
     "is_allowed",
     "is_boundary_invariant",
     "lift_clique_complex",
+    "lift_complex",
     "lift_path_complex",
     "lift_ring_complex",
     "parse_edge_list",

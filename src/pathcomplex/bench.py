@@ -1,11 +1,14 @@
 """Pairwise distinguishability harness over strongly-regular-graph families.
 
 A family is a graph6 file plus its ``(n, k, lambda, mu)`` parameters; every
-graph is validated on load.  Deterministic methods (``pwl``, ``swl``,
-``cwl``, ``wl1``) call a pair indistinguishable when the stable histograms
-match; network methods (``pcn``, ``cwn``) when the embedding distance falls
-below epsilon, once per seed.  Complexes are lifted once per graph and shared
-across pairs, seeds, and sweep cells.
+graph is validated on load.  :data:`METHODS` says how each method lifts a
+graph and judges a pair: refinement methods (``pwl``, ``swl``, ``cwl``, and
+``wl1``, the engine on the 1-dimensional path complex) call a pair
+indistinguishable when the stable histograms match; network methods
+(``pcn``, ``cwn``) when the embedding distance falls below epsilon, once per
+seed.  Complexes are lifted and indexed once per graph and shared across
+pairs, seeds, and sweep cells; ``lift_ms`` reports what producing them cost,
+also when they came from the cache.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import os
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -24,18 +27,18 @@ import numpy as np
 from .complexes import (
     CapacityError,
     DEFAULT_MEMBER_CAP,
-    lift_clique_complex,
-    lift_path_complex,
-    lift_ring_complex,
+    LIFT_PARAMS,
+    lift_complex,
 )
-from .graphs import SimpleGraph, read_graph6_file
+from .graphs import read_graph6_file
 from .network import NetworkParams, embedding_distance, forward, init_features
-from .refine import distinguishes, refine_pair, wl1_refine_pair
+from .refine import WL1_DIM, distinguishes, refine_pair
 from .srg import is_strongly_regular
 
 __all__ = [
     "METHODS",
-    "NETWORK_METHODS",
+    "Method",
+    "ManifestError",
     "FamilySpec",
     "RunConfig",
     "SeedOutcome",
@@ -51,8 +54,33 @@ __all__ = [
     "reports_to_json",
 ]
 
-METHODS = ("pwl", "swl", "cwl", "wl1", "pcn", "cwn")
-NETWORK_METHODS = ("pcn", "cwn")
+
+@dataclass(frozen=True)
+class Method:
+    """How one method turns graphs into complexes and judges a pair.
+
+    The lift takes the structural parameter that ``LIFT_PARAMS[kind]`` names
+    from the run configuration, unless ``fixed_param`` pins it.
+    """
+
+    kind: str
+    network: bool = False  # judged by embedding distance, not histograms
+    fixed_param: Optional[int] = None
+
+
+METHODS = {
+    "pwl": Method("path"),
+    "swl": Method("simplex"),
+    "cwl": Method("cell"),
+    # vertex refinement: the engine on the 1-dimensional path complex
+    "wl1": Method("path", fixed_param=WL1_DIM),
+    "pcn": Method("path", network=True),
+    "cwn": Method("cell", network=True),
+}
+
+
+class ManifestError(ValueError):
+    """Malformed family manifest line."""
 
 
 @dataclass(frozen=True)
@@ -78,30 +106,41 @@ class RunConfig:
     seeds: tuple = tuple(range(10))
     epsilon: float = 0.01
     boundary_mode: str = "incidence"
-    use_coboundary_features: bool = True
-    init_mode: str = "sum"
-    init_base: str = "ones"
     hidden_dim: int = 16
     embed_dim: int = 32
     member_cap: int = DEFAULT_MEMBER_CAP
     threads: int = 1
-    use_cache: bool = True
 
     def validate(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.method in NETWORK_METHODS and not self.seeds:
+        if self.is_network and not self.seeds:
             raise ValueError(f"method {self.method!r} needs a non-empty seed list")
 
     @property
+    def lift_args(self) -> tuple:
+        """``(kind, param, boundary_mode, member_cap)`` for :func:`lift_complex`."""
+        m = METHODS[self.method]
+        param = m.fixed_param
+        if param is None:
+            param = getattr(self, LIFT_PARAMS[m.kind])
+        return (m.kind, param, self.boundary_mode, self.member_cap)
+
+    def lift(self, g):
+        return lift_complex(g, *self.lift_args)
+
+    @property
     def structural_param(self) -> int:
-        return self.max_ring if self.method in ("cwl", "cwn") else self.max_dim
+        """The configurable lift parameter; 0 when the method fixes it (wl1)."""
+        if METHODS[self.method].fixed_param is not None:
+            return 0
+        return self.lift_args[1]
 
     @property
     def is_network(self) -> bool:
-        return self.method in NETWORK_METHODS
+        return METHODS[self.method].network
 
 
 @dataclass(frozen=True)
@@ -142,31 +181,14 @@ class FailureReport:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "method": self.method,
-            "structural_param": self.structural_param,
-            "layers": self.layers,
-            "pairs": self.pairs,
-            "lift_ms": self.lift_ms,
-            "skipped": self.skipped,
-            "diagnostic": self.diagnostic,
-            "aggregate": self.aggregate(),
-            "outcomes": [
-                {
-                    "seed": o.seed,
-                    "pairs": o.pairs,
-                    "indistinguishable": o.indistinguishable,
-                    "failure_rate": o.failure_rate,
-                    "forward_ms": o.forward_ms,
-                }
-                for o in self.outcomes
-            ],
-        }
+        return {**asdict(self), "aggregate": self.aggregate()}
 
 
 def parse_manifest(path) -> list:
-    """Line-oriented family manifest: ``name path n k lambda mu``."""
+    """Line-oriented family manifest: ``name path n k lambda mu``.
+
+    A malformed line raises :class:`ManifestError` naming ``file:line``.
+    """
     specs = []
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="ascii") as handle:
@@ -175,9 +197,10 @@ def parse_manifest(path) -> list:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) != 6:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'name path n k lambda mu'"
+            if len(parts) != 6 or not all(x.isdigit() for x in parts[2:]):
+                raise ManifestError(
+                    f"{path}:{lineno}: expected 'name path n k lambda mu' "
+                    f"with integer parameters, got {line!r}"
                 )
             name, rel = parts[0], parts[1]
             file_path = rel if os.path.isabs(rel) else os.path.join(base, rel)
@@ -198,31 +221,37 @@ def load_family(spec: FamilySpec, validate: bool = True) -> list:
     return graphs
 
 
-def _lift_for(cfg: RunConfig, g: SimpleGraph):
-    if cfg.method in ("pwl", "pcn"):
-        return lift_path_complex(
-            g, cfg.max_dim, boundary_mode=cfg.boundary_mode,
-            member_cap=cfg.member_cap,
-        )
-    if cfg.method == "swl":
-        return lift_clique_complex(g, cfg.max_dim, member_cap=cfg.member_cap)
-    if cfg.method in ("cwl", "cwn"):
-        return lift_ring_complex(g, cfg.max_ring, member_cap=cfg.member_cap)
-    return None  # wl1 works on the graph itself
+def _lift_all(graphs, cfg: RunConfig):
+    """Lift and index every graph; returns ``(complexes, milliseconds)``.
+
+    The boundary CSR and the upper triples are built here because every
+    method reads both, so their cost is charged to the lift, not to the
+    first pair or seed that touches them.
+    """
+    t0 = time.monotonic()
+    complexes = [cfg.lift(g) for g in graphs]
+    for c in complexes:
+        c.boundary_csr()
+        c.upper_adjacency()
+    return complexes, (time.monotonic() - t0) * 1000.0
 
 
 class _LiftCache:
-    """Shared complex cache keyed by family, lifting kind and parameters."""
+    """Lifted families, with the time the lift took, shared across cells.
+
+    Keyed by the family's file and every argument of the lift call, so two
+    families with one name, or two cells with different member caps, never
+    share complexes.
+    """
 
     def __init__(self):
         self.store = {}
 
-    def key(self, family: str, cfg: RunConfig):
-        kind = "path" if cfg.method in ("pwl", "pcn") else (
-            "simplex" if cfg.method == "swl" else "cell"
-        )
-        extra = cfg.boundary_mode if kind == "path" else ""
-        return (family, kind, cfg.structural_param, extra)
+    def get(self, spec: FamilySpec, graphs, cfg: RunConfig):
+        key = (spec.path, *cfg.lift_args)
+        if key not in self.store:
+            self.store[key] = _lift_all(graphs, cfg)
+        return self.store[key]
 
 
 def _map_jobs(fn, jobs, threads: int):
@@ -241,37 +270,26 @@ def run_family(
     cfg.validate()
     graphs = load_family(spec)
     pairs = list(itertools.combinations(range(len(graphs)), 2))
-    layers = cfg.layers if cfg.is_network else None
     report = FailureReport(
         family=spec.name,
         method=cfg.method,
-        structural_param=cfg.structural_param if cfg.method != "wl1" else 0,
-        layers=layers,
+        structural_param=cfg.structural_param,
+        layers=cfg.layers if cfg.is_network else None,
         pairs=len(pairs),
     )
-    complexes = None
-    if cfg.method != "wl1":
-        t0 = time.monotonic()
-        cache_key = cache.key(spec.name, cfg) if (cache and cfg.use_cache) else None
-        if cache_key is not None and cache_key in cache.store:
-            complexes = cache.store[cache_key]
+    try:
+        if cache is None:
+            complexes, report.lift_ms = _lift_all(graphs, cfg)
         else:
-            try:
-                complexes = [_lift_for(cfg, g) for g in graphs]
-            except CapacityError as exc:
-                report.skipped = True
-                report.diagnostic = f"member cap exceeded while lifting: {exc}"
-                return report
-            if cache_key is not None:
-                cache.store[cache_key] = complexes
-        report.lift_ms = (time.monotonic() - t0) * 1000.0
+            complexes, report.lift_ms = cache.get(spec, graphs, cfg)
+    except CapacityError as exc:
+        report.skipped = True
+        report.diagnostic = f"member cap exceeded while lifting: {exc}"
+        return report
 
     if cfg.is_network:
         max_dim = complexes[0].max_dim if complexes else cfg.max_dim
-        feats = [
-            init_features(c, cfg.hidden_dim, cfg.init_mode, cfg.init_base)
-            for c in complexes
-        ]
+        feats = [init_features(c, cfg.hidden_dim) for c in complexes]
         for seed in cfg.seeds:
             params = NetworkParams.create(
                 seed=seed,
@@ -279,7 +297,6 @@ def run_family(
                 max_dim=max_dim,
                 hidden_dim=cfg.hidden_dim,
                 embed_dim=cfg.embed_dim,
-                use_coboundary_features=cfg.use_coboundary_features,
             )
             t0 = time.monotonic()
             embeddings = _map_jobs(
@@ -303,10 +320,7 @@ def run_family(
 
     def judge(pair):
         i, j = pair
-        if cfg.method == "wl1":
-            h1, h2, _ = wl1_refine_pair(graphs[i], graphs[j])
-        else:
-            h1, h2, _ = refine_pair(complexes[i], complexes[j])
+        h1, h2, _ = refine_pair(complexes[i], complexes[j])
         return not distinguishes(h1, h2)
 
     verdicts = _map_jobs(judge, pairs, cfg.threads)
@@ -411,10 +425,10 @@ def time_lifting(graphs, cfg: RunConfig, repeats: int = 10) -> TimingStats:
     counts = []
     for r in range(repeats):
         t0 = time.monotonic()
-        lifted = [_lift_for(cfg, g) for g in graphs]
+        lifted = [cfg.lift(g) for g in graphs]
         samples.append(time.monotonic() - t0)
         if r == 0:
-            counts = [c.counts() for c in lifted if c is not None]
+            counts = [c.counts() for c in lifted]
     arr = np.asarray(samples)
     label = f"{cfg.method} param={cfg.structural_param} on {len(graphs)} graphs"
     return TimingStats(

@@ -20,6 +20,8 @@ import sys
 from dataclasses import dataclass, fields
 
 from .bench import (
+    METHODS,
+    ManifestError,
     RunConfig,
     parse_manifest,
     reports_to_csv,
@@ -31,16 +33,15 @@ from .bench import (
 from .complexes import (
     CapacityError,
     DEFAULT_MEMBER_CAP,
+    LIFT_PARAMS,
     SerializationError,
     cyclic_families,
-    lift_clique_complex,
-    lift_path_complex,
-    lift_ring_complex,
+    lift_complex,
     serialize_complex,
 )
 from .graphs import GraphParseError, parse_edge_list, read_graph6_file
 from .network import NetworkParams, embedding_distance, forward, init_features
-from .refine import distinguishes, refine_pair, wl1_refine_pair
+from .refine import distinguishes, refine_pair
 
 __all__ = ["main"]
 
@@ -158,22 +159,6 @@ def _add_common_flags(parser):
     parser.add_argument("--output-format", choices=("text", "csv", "json"))
 
 
-def _read_one_graph(path: str, fmt: str, index: int):
-    if fmt == "auto":
-        fmt = "graph6" if path.endswith((".g6", ".graph6")) else "edges"
-    if fmt == "graph6":
-        graphs = read_graph6_file(path)
-        if not graphs:
-            raise GraphParseError(f"{path}: no graphs found")
-        if not 0 <= index < len(graphs):
-            raise GraphParseError(
-                f"{path}: graph index {index} out of range 0..{len(graphs) - 1}"
-            )
-        return graphs[index]
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_edge_list(handle.read())
-
-
 def _read_all_graphs(path: str, fmt: str):
     if fmt == "auto":
         fmt = "graph6" if path.endswith((".g6", ".graph6")) else "edges"
@@ -183,14 +168,31 @@ def _read_all_graphs(path: str, fmt: str):
         return [parse_edge_list(handle.read())]
 
 
-def _lift(kind, g, max_dim, max_ring, cfg):
-    if kind == "path":
-        return lift_path_complex(
-            g, max_dim, boundary_mode=cfg.boundary_mode, member_cap=cfg.member_cap
+def _read_one_graph(path: str, fmt: str, index: int):
+    graphs = _read_all_graphs(path, fmt)
+    if not graphs:
+        raise GraphParseError(f"{path}: no graphs found")
+    if not 0 <= index < len(graphs):
+        raise GraphParseError(
+            f"{path}: graph index {index} out of range 0..{len(graphs) - 1}"
         )
-    if kind == "simplex":
-        return lift_clique_complex(g, max_dim, member_cap=cfg.member_cap)
-    return lift_ring_complex(g, max_ring, member_cap=cfg.member_cap)
+    return graphs[index]
+
+
+def _run_config(args, cfg: CliConfig, method: str, layers: int = 4) -> RunConfig:
+    return RunConfig(
+        method=method,
+        max_dim=args.max_dim,
+        max_ring=args.max_ring,
+        layers=layers,
+        seeds=cfg.seeds,
+        epsilon=cfg.epsilon,
+        boundary_mode=cfg.boundary_mode,
+        hidden_dim=cfg.hidden_dim,
+        embed_dim=cfg.embed_dim,
+        member_cap=cfg.member_cap,
+        threads=cfg.threads,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +203,10 @@ def _lift(kind, g, max_dim, max_ring, cfg):
 def _cmd_lift(args) -> int:
     cfg = _build_cli_config(args)
     g = _read_one_graph(args.input, args.format, args.index)
-    complex_ = _lift(args.kind, g, args.max_dim, args.max_ring, cfg)
+    complex_ = lift_complex(
+        g, args.kind, getattr(args, LIFT_PARAMS[args.kind]),
+        boundary_mode=cfg.boundary_mode, member_cap=cfg.member_cap,
+    )
     if args.out:
         with open(args.out, "w", encoding="ascii") as handle:
             handle.write(serialize_complex(complex_))
@@ -217,20 +222,10 @@ def _cmd_test(args) -> int:
     cfg = _build_cli_config(args)
     g1 = _read_one_graph(args.graph_a, args.format, args.index_a)
     g2 = _read_one_graph(args.graph_b, args.format, args.index_b)
-    method = args.method
-    if method == "wl1":
-        h1, h2, rounds = wl1_refine_pair(g1, g2)
-        separated = distinguishes(h1, h2)
-    elif method in ("pwl", "swl", "cwl"):
-        kind = {"pwl": "path", "swl": "simplex", "cwl": "cell"}[method]
-        c1 = _lift(kind, g1, args.max_dim, args.max_ring, cfg)
-        c2 = _lift(kind, g2, args.max_dim, args.max_ring, cfg)
-        h1, h2, rounds = refine_pair(c1, c2, rule=args.rule)
-        separated = distinguishes(h1, h2)
-    else:  # pcn / cwn: separated iff every seed pushes the pair past epsilon
-        kind = "path" if method == "pcn" else "cell"
-        c1 = _lift(kind, g1, args.max_dim, args.max_ring, cfg)
-        c2 = _lift(kind, g2, args.max_dim, args.max_ring, cfg)
+    run_cfg = _run_config(args, cfg, args.method, args.layers)
+    c1, c2 = run_cfg.lift(g1), run_cfg.lift(g2)
+    if run_cfg.is_network:
+        # separated iff every seed pushes the pair past epsilon
         f1 = init_features(c1, cfg.hidden_dim)
         f2 = init_features(c2, cfg.hidden_dim)
         separated = True
@@ -245,12 +240,15 @@ def _cmd_test(args) -> int:
             )
             if dist < cfg.epsilon:
                 separated = False
+    else:
+        h1, h2, rounds = refine_pair(c1, c2, rule=args.rule)
+        separated = distinguishes(h1, h2)
     verdict = "DISTINGUISHED" if separated else "NOT-DISTINGUISHED"
     if cfg.output_format == "json":
         print(json.dumps({"verdict": verdict, "rounds": rounds}))
     else:
         print(f"{verdict} rounds={rounds}")
-        if args.histograms and method in ("pwl", "swl", "cwl", "wl1"):
+        if args.histograms and not run_cfg.is_network:
             print(f"histogram-a: {sorted(h1.counts.items())}")
             print(f"histogram-b: {sorted(h2.counts.items())}")
     return EXIT_OK
@@ -264,25 +262,12 @@ def _cmd_bench(args) -> int:
         return EXIT_OK
     configs = []
     for method in args.methods.split(","):
-        method = method.strip()
         for layers in _parse_seeds(args.layers):
-            configs.append(
-                RunConfig(
-                    method=method,
-                    max_dim=args.max_dim,
-                    max_ring=args.max_ring,
-                    layers=layers,
-                    seeds=cfg.seeds,
-                    epsilon=cfg.epsilon,
-                    boundary_mode=cfg.boundary_mode,
-                    hidden_dim=cfg.hidden_dim,
-                    embed_dim=cfg.embed_dim,
-                    member_cap=cfg.member_cap,
-                    threads=cfg.threads,
-                )
-            )
-            if method in ("pwl", "swl", "cwl", "wl1"):
-                break  # deterministic methods ignore the layer sweep
+            run_cfg = _run_config(args, cfg, method.strip(), layers)
+            run_cfg.validate()
+            configs.append(run_cfg)
+            if not run_cfg.is_network:
+                break  # refinement methods ignore the layer sweep
     result = sweep(specs, configs)
     if args.out_prefix:
         with open(args.out_prefix + ".csv", "w", encoding="ascii") as handle:
@@ -305,7 +290,7 @@ def _cmd_bench(args) -> int:
 def _cmd_families(args) -> int:
     cfg = _build_cli_config(args)
     g = _read_one_graph(args.input, args.format, args.index)
-    complex_ = lift_ring_complex(g, args.max_ring, member_cap=cfg.member_cap)
+    complex_ = lift_complex(g, "cell", args.max_ring, member_cap=cfg.member_cap)
     rings = list(complex_.dim_range(2))
     if not rings:
         print("no rings")
@@ -334,15 +319,12 @@ def _cmd_families(args) -> int:
 def _cmd_time_lift(args) -> int:
     cfg = _build_cli_config(args)
     graphs = _read_all_graphs(args.input, args.format)
-    run_cfg = RunConfig(
-        method={"path": "pwl", "simplex": "swl", "cell": "cwl"}[args.kind],
-        max_dim=args.max_dim,
-        max_ring=args.max_ring,
-        boundary_mode=cfg.boundary_mode,
-        member_cap=cfg.member_cap,
-        seeds=(),
+    # the refinement method that lifts to this kind with its configured parameter
+    method = next(
+        name for name, m in METHODS.items()
+        if m.kind == args.kind and not m.network and m.fixed_param is None
     )
-    stats = time_lifting(graphs, run_cfg, repeats=args.repeats)
+    stats = time_lifting(graphs, _run_config(args, cfg, method), repeats=args.repeats)
     if cfg.output_format == "json":
         print(json.dumps(stats.to_dict()))
     else:
@@ -369,7 +351,7 @@ def _build_parser() -> _Parser:
 
     p_lift = sub.add_parser("lift", help="lift a graph and serialize the complex")
     p_lift.add_argument("input")
-    p_lift.add_argument("--kind", choices=("path", "simplex", "cell"), default="path")
+    p_lift.add_argument("--kind", choices=tuple(LIFT_PARAMS), default="path")
     p_lift.add_argument("--max-dim", type=int, default=3)
     p_lift.add_argument("--max-ring", type=int, default=4)
     p_lift.add_argument("--format", choices=("auto", "graph6", "edges"), default="auto")
@@ -382,8 +364,7 @@ def _build_parser() -> _Parser:
     p_test = sub.add_parser("test", help="compare two graphs")
     p_test.add_argument("graph_a")
     p_test.add_argument("graph_b")
-    p_test.add_argument("--method", choices=("pwl", "swl", "cwl", "wl1", "pcn", "cwn"),
-                        default="pwl")
+    p_test.add_argument("--method", choices=tuple(METHODS), default="pwl")
     p_test.add_argument("--rule", choices=("reduced", "full"), default="reduced")
     p_test.add_argument("--max-dim", type=int, default=3)
     p_test.add_argument("--max-ring", type=int, default=4)
@@ -399,7 +380,7 @@ def _build_parser() -> _Parser:
     p_bench = sub.add_parser("bench", help="run a family manifest")
     p_bench.add_argument("manifest")
     p_bench.add_argument("--methods", default="pcn",
-                         help="comma list from pwl,swl,cwl,wl1,pcn,cwn")
+                         help="comma list from " + ",".join(METHODS))
     p_bench.add_argument("--max-dim", type=int, default=3)
     p_bench.add_argument("--max-ring", type=int, default=4)
     p_bench.add_argument("--layers", default="4",
@@ -418,7 +399,7 @@ def _build_parser() -> _Parser:
 
     p_time = sub.add_parser("time-lift", help="lifting wall-clock statistics")
     p_time.add_argument("input")
-    p_time.add_argument("--kind", choices=("path", "simplex", "cell"), default="path")
+    p_time.add_argument("--kind", choices=tuple(LIFT_PARAMS), default="path")
     p_time.add_argument("--max-dim", type=int, default=3)
     p_time.add_argument("--max-ring", type=int, default=4)
     p_time.add_argument("--repeats", type=int, default=10)
@@ -437,7 +418,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GraphParseError, SerializationError, FileNotFoundError) as exc:
+    except (GraphParseError, SerializationError, ManifestError,
+            FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapacityError as exc:

@@ -11,6 +11,9 @@ Three lifting transformations share one container type:
   chordless cycles up to a maximum ring size; the boundary of a ring is its
   edge set.
 
+``lift_complex`` picks the lifting by kind name; callers that choose a
+lifting at run time go through it.
+
 Member ids are global and dimension-major; within a dimension members are
 listed in lexicographic carrier order, which makes every derived structure
 reproducible across runs.
@@ -37,6 +40,8 @@ __all__ = [
     "lift_path_complex",
     "lift_clique_complex",
     "lift_ring_complex",
+    "LIFT_PARAMS",
+    "lift_complex",
     "cyclic_families",
     "serialize_complex",
     "deserialize_complex",
@@ -169,34 +174,12 @@ class HigherOrderComplex:
     def boundary_csr(self):
         """(indptr, indices): boundary ids of member g at indices[indptr[g]:indptr[g+1]]."""
         if self._boundary_csr is None:
-            lens = np.fromiter(
-                (len(b) for b in self.boundary), dtype=np.int64, count=self.total
-            )
-            indptr = np.zeros(self.total + 1, dtype=np.int64)
-            np.cumsum(lens, out=indptr[1:])
-            if indptr[-1]:
-                indices = np.concatenate(
-                    [np.asarray(b, dtype=np.int64) for b in self.boundary if b]
-                )
-            else:
-                indices = np.zeros(0, dtype=np.int64)
-            self._boundary_csr = (indptr, indices)
+            self._boundary_csr = _csr(self.boundary)
         return self._boundary_csr
 
     def coboundary_csr(self):
         if self._coboundary_csr is None:
-            lens = np.fromiter(
-                (len(b) for b in self.coboundary), dtype=np.int64, count=self.total
-            )
-            indptr = np.zeros(self.total + 1, dtype=np.int64)
-            np.cumsum(lens, out=indptr[1:])
-            if indptr[-1]:
-                indices = np.concatenate(
-                    [np.asarray(b, dtype=np.int64) for b in self.coboundary if b]
-                )
-            else:
-                indices = np.zeros(0, dtype=np.int64)
-            self._coboundary_csr = (indptr, indices)
+            self._coboundary_csr = _csr(self.coboundary)
         return self._coboundary_csr
 
     def upper_adjacency(self):
@@ -232,6 +215,22 @@ class HigherOrderComplex:
             f"HigherOrderComplex(kind={self.kind!r}, n={self.n}, "
             f"max_dim={self.max_dim}, counts={self.counts()})"
         )
+
+
+def _csr(incidence: list):
+    """(indptr, indices) of a list of id lists."""
+    lens = np.fromiter(
+        (len(b) for b in incidence), dtype=np.int64, count=len(incidence)
+    )
+    indptr = np.zeros(len(incidence) + 1, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    if indptr[-1]:
+        indices = np.concatenate(
+            [np.asarray(b, dtype=np.int64) for b in incidence if b]
+        )
+    else:
+        indices = np.zeros(0, dtype=np.int64)
+    return indptr, indices
 
 
 def _pair_triples(incidence: list):
@@ -453,6 +452,24 @@ def lift_ring_complex(
     return HigherOrderComplex("cell", g, 2, members, boundary)
 
 
+# Every lifting kind, with the name of the structural parameter it takes.
+LIFT_PARAMS = {"path": "max_dim", "simplex": "max_dim", "cell": "max_ring"}
+
+
+def lift_complex(
+    g: SimpleGraph, kind: str, param: int, boundary_mode: str = "incidence",
+    member_cap: int = DEFAULT_MEMBER_CAP,
+) -> HigherOrderComplex:
+    """Lift by kind name; ``boundary_mode`` applies to path complexes only."""
+    if kind == "path":
+        return lift_path_complex(g, param, boundary_mode, member_cap)
+    if kind == "simplex":
+        return lift_clique_complex(g, param, member_cap)
+    if kind == "cell":
+        return lift_ring_complex(g, param, member_cap)
+    raise ValueError(f"unknown lifting kind {kind!r}")
+
+
 # ---------------------------------------------------------------------------
 # cyclic-shifting families
 # ---------------------------------------------------------------------------
@@ -498,6 +515,18 @@ def serialize_complex(c: HigherOrderComplex) -> str:
 
 
 def deserialize_complex(text: str) -> HigherOrderComplex:
+    """Parse a PCX v1 payload; any malformed input raises SerializationError."""
+    try:
+        return _parse_pcx(text)
+    except SerializationError:
+        raise
+    except (ValueError, KeyError, IndexError) as exc:
+        raise SerializationError(
+            f"malformed PCX payload ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _parse_pcx(text: str) -> HigherOrderComplex:
     lines = [ln.rstrip("\n") for ln in text.splitlines()]
     if not lines:
         raise SerializationError("empty payload")

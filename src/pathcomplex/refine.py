@@ -1,11 +1,15 @@
-"""Color refinement over higher-order complexes, plus the plain vertex test.
+"""Color refinement over higher-order complexes.
 
-One engine serves every lifting: the refinement signature of a member is its
-current color together with the sorted color multiset of its boundary and the
-sorted (neighbor, witness) color pairs of its upper adjacency; the ``full``
-rule additionally mixes in co-boundary colors and lower-adjacency pairs.
-Signatures are relabelled through an injective dictionary shared by the two
-complexes under comparison, so stable histograms are directly comparable.
+One engine serves every lifting, vertex refinement included: ``wl1`` is the
+engine on the 1-dimensional path complex, where every edge witnesses the
+upper adjacency of its two endpoints.
+
+The refinement signature of a member is its current color together with the
+sorted color multiset of its boundary and the sorted (neighbor, witness)
+color pairs of its upper adjacency; the ``full`` rule additionally mixes in
+co-boundary colors and lower-adjacency pairs.  Signatures are relabelled
+through an injective dictionary shared by the two complexes under
+comparison, so stable histograms are directly comparable.
 
 The per-round work is vectorized: colors are gathered through flat index
 arrays, sorted segment-wise with one lexsort per relation, scattered into a
@@ -21,12 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .complexes import (
-    HigherOrderComplex,
-    lift_clique_complex,
-    lift_path_complex,
-    lift_ring_complex,
-)
+from .complexes import HigherOrderComplex, lift_complex
 from .graphs import SimpleGraph
 
 __all__ = [
@@ -298,46 +297,22 @@ def stable_fingerprint(c: HigherOrderComplex, rule: str = "reduced"):
 
 
 # ---------------------------------------------------------------------------
-# plain vertex refinement (the classical baseline)
+# vertex refinement (the classical baseline)
 # ---------------------------------------------------------------------------
+
+# Dimension of the path complex on which the engine performs 1-WL.
+WL1_DIM = 1
 
 
 def wl1_refine_pair(g1: SimpleGraph, g2: SimpleGraph):
-    """Vertex color refinement with a dictionary shared by both graphs."""
-    adj = [list(g1.adjacency), list(g2.adjacency)]
-    sizes = (g1.n, g2.n)
-    colors = [[0] * g1.n, [0] * g2.n]
-    dictionary = {}
-    next_color = 1
-    rounds = 0
-    distinct = 1 if (g1.n + g2.n) else 0
-    max_rounds = max(g1.n + g2.n, 1)
-    while rounds < max_rounds:
-        new_colors = [[0] * sizes[0], [0] * sizes[1]]
-        seen = set()
-        for side in (0, 1):
-            cs = colors[side]
-            for v in range(sizes[side]):
-                sig = (cs[v], tuple(sorted(cs[w] for w in adj[side][v])))
-                c = dictionary.get(sig)
-                if c is None:
-                    c = next_color
-                    dictionary[sig] = c
-                    next_color += 1
-                new_colors[side][v] = c
-                seen.add(c)
-        colors = new_colors
-        rounds += 1
-        if len(seen) == distinct:
-            break
-        distinct = len(seen)
-    hists = []
-    for side in (0, 1):
-        counts = {}
-        for c in colors[side]:
-            counts[c] = counts.get(c, 0) + 1
-        hists.append(ColorHistogram(counts))
-    return hists[0], hists[1], rounds
+    """Vertex color refinement: :func:`refine_pair` on 1-dimensional path lifts.
+
+    The histograms pool vertex and edge colors, and ``rounds`` counts engine
+    rounds; the verdict is that of classical vertex refinement.
+    """
+    return refine_pair(
+        lift_complex(g1, "path", WL1_DIM), lift_complex(g2, "path", WL1_DIM)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +352,12 @@ class PowerOrderReport:
         }
 
 
+def _separates(g1, g2, kind, param, boundary_mode) -> bool:
+    x = lift_complex(g1, kind, param, boundary_mode=boundary_mode)
+    y = lift_complex(g2, kind, param, boundary_mode=boundary_mode)
+    return distinguishes(*refine_pair(x, y)[:2])
+
+
 def power_order_check(
     corpus,
     pwl_dim: int = 3,
@@ -394,24 +375,9 @@ def power_order_check(
     report = PowerOrderReport(pwl_dim, clique_dim, max_ring)
     for g1, g2 in corpus:
         wl = distinguishes(*wl1_refine_pair(g1, g2)[:2])
-        swl = distinguishes(
-            *refine_pair(
-                lift_clique_complex(g1, clique_dim),
-                lift_clique_complex(g2, clique_dim),
-            )[:2]
-        )
-        cwl = distinguishes(
-            *refine_pair(
-                lift_ring_complex(g1, max_ring),
-                lift_ring_complex(g2, max_ring),
-            )[:2]
-        )
-        pwl = distinguishes(
-            *refine_pair(
-                lift_path_complex(g1, pwl_dim, boundary_mode=boundary_mode),
-                lift_path_complex(g2, pwl_dim, boundary_mode=boundary_mode),
-            )[:2]
-        )
+        swl = _separates(g1, g2, "simplex", clique_dim, boundary_mode)
+        cwl = _separates(g1, g2, "cell", max_ring, boundary_mode)
+        pwl = _separates(g1, g2, "path", pwl_dim, boundary_mode)
         violations = []
         if wl and not pwl:
             violations.append("wl1-separates-but-pwl-does-not")

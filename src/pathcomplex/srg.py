@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import lift_path_complex
+from .complexes import lift_complex
 from .graphs import SimpleGraph, complement_graph
 from .refine import stable_fingerprint
 
@@ -470,13 +470,13 @@ def dedupe_by_fingerprint(graphs, dim: int = 3, prefilter_dim: int = 2) -> list:
     """
     buckets = {}
     for g in graphs:
-        key = stable_fingerprint(lift_path_complex(g, prefilter_dim))
+        key = stable_fingerprint(lift_complex(g, "path", prefilter_dim))
         buckets.setdefault(key, []).append(g)
     kept = []
     seen = set()
     for key in sorted(buckets):
         for g in buckets[key]:
-            full = stable_fingerprint(lift_path_complex(g, dim))
+            full = stable_fingerprint(lift_complex(g, "path", dim))
             if full not in seen:
                 seen.add(full)
                 kept.append(g)

@@ -7,7 +7,9 @@ import pytest
 
 from pathcomplex.bench import (
     FamilySpec,
+    ManifestError,
     RunConfig,
+    _LiftCache,
     load_family,
     parse_manifest,
     reports_to_csv,
@@ -35,6 +37,15 @@ class TestManifest:
     def test_bad_line_rejected(self, tmp_path):
         (tmp_path / "m.txt").write_text("only three fields\n")
         with pytest.raises(ValueError, match="expected"):
+            parse_manifest(tmp_path / "m.txt")
+
+    @pytest.mark.parametrize("line", [
+        "FAM fam.g6 16 six 2 2",  # non-integer parameter
+        "FAM fam.g6 16 6 2",  # five fields
+    ])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line):
+        (tmp_path / "m.txt").write_text(f"# corpus\n{line}\n")
+        with pytest.raises(ManifestError, match=r"m\.txt:2: expected"):
             parse_manifest(tmp_path / "m.txt")
 
     def test_load_family_validates_parameters(self, tmp_path):
@@ -96,14 +107,28 @@ class TestRunFamily:
         assert a.rates == b.rates
 
     def test_cache_soundness(self, sr16):
-        from pathcomplex.bench import _LiftCache
-
         cfg = RunConfig(method="pcn", layers=4, seeds=(0, 1, 2))
         cache = _LiftCache()
         with_cache_1 = run_family(sr16, cfg, cache=cache)
         with_cache_2 = run_family(sr16, cfg, cache=cache)  # cache hit path
         without = run_family(sr16, cfg, cache=None)
         assert with_cache_1.rates == without.rates == with_cache_2.rates
+
+    def test_cache_hit_reports_the_lift_time(self, sr16):
+        cfg = RunConfig(method="pwl", max_dim=3, seeds=())
+        cache = _LiftCache()
+        miss = run_family(sr16, cfg, cache=cache)
+        hit = run_family(sr16, cfg, cache=cache)
+        assert hit.lift_ms == miss.lift_ms > 0.0
+
+    def test_tighter_member_cap_does_not_reuse_a_cached_lift(self, sr16):
+        cache = _LiftCache()
+        run_family(sr16, RunConfig(method="pwl", max_dim=3, seeds=()), cache=cache)
+        capped = run_family(
+            sr16, RunConfig(method="pwl", max_dim=3, seeds=(), member_cap=10),
+            cache=cache,
+        )
+        assert capped.skipped
 
     def test_threaded_run_matches_serial(self, sr16):
         serial = run_family(sr16, RunConfig(method="pcn", layers=4, seeds=(0, 1)))
@@ -120,6 +145,18 @@ class TestSweep:
         assert len(result.reports) == 1
         assert result.reports[0].family == sr16.name
         assert result.errors and result.errors[0][0] == "MISSING"
+
+    def test_families_sharing_a_name_keep_their_own_lifts(self, srg_specs, tmp_path):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("".join(
+            f"FAM {spec.path} {spec.n} {spec.k} {spec.lam} {spec.mu}\n"
+            for spec in (srg_specs["SR(16,6,2,2)"], srg_specs["SR(26,10,3,4)"])
+        ))
+        result = sweep(parse_manifest(manifest),
+                       [RunConfig(method="pwl", max_dim=3, seeds=())])
+        assert not result.errors
+        assert [r.pairs for r in result.reports] == [1, 3]
+        assert [r.rates for r in result.reports] == [[0.0], [0.0]]
 
     def test_sweep_table_renders(self, sr16):
         result = sweep(

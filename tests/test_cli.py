@@ -172,6 +172,15 @@ class TestBench:
         assert "SR(16,6,2,2)" in out
 
 
+    @pytest.mark.parametrize("line", ["FAM f.g6 16 six 2 2", "FAM f.g6 16 6 2"])
+    def test_malformed_manifest_is_an_input_error(self, capsys, tmp_path, line):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(line + "\n")
+        code, _, err = run(capsys, "bench", manifest)
+        assert code == 2
+        assert "m.txt:1" in err
+
+
 class TestTimeLift:
     def test_runs_and_reports(self, capsys, files):
         code, out, _ = run(capsys, "time-lift", files["c6"], "--repeats", "3",

@@ -365,6 +365,16 @@ class TestSerialization:
         with pytest.raises(SerializationError, match="version"):
             deserialize_complex(text.replace("PCX v1", "PCX v9", 1))
 
+    @pytest.mark.parametrize("text", [
+        "PCX v1 kind=path n=2 maxdim\n",  # header field without '='
+        "PCX v1 type=path n=2 maxdim=0\n",  # header without kind=
+        "PCX v1 kind=path n=2 maxdim=0\ndim 0 count 3\n0: 0\n",  # short section
+        "PCX v1 kind=path n=x maxdim=0\n",  # non-integer n
+    ])
+    def test_malformed_payload_raises_serialization_error(self, text):
+        with pytest.raises(SerializationError):
+            deserialize_complex(text)
+
     def test_upper_adjacency_survives_roundtrip(self):
         c = lift_path_complex(FIG3B, 3)
         d = deserialize_complex(serialize_complex(c))

@@ -1,5 +1,9 @@
-"""Color refinement: engines, invariants, and expressivity ordering."""
+"""Color refinement: the engine, its invariants, and expressivity ordering."""
 
+import itertools
+import warnings
+
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -201,6 +205,36 @@ class TestWl1:
     def test_different_degree_sequences(self):
         h1, h2, _ = wl1_refine_pair(cycle_graph(4), complete_graph(4))
         assert distinguishes(h1, h2)
+
+    def test_matches_networkx_weisfeiler_lehman(self, srg_specs):
+        from pathcomplex.bench import load_family
+
+        pairs = []
+        for spec in srg_specs.values():
+            pairs.extend(itertools.combinations(load_family(spec), 2))
+        rng = np.random.default_rng(2024)
+        for trial in range(240):
+            n = int(rng.integers(1, 12))
+            g = random_graph(n, float(rng.uniform(0.2, 0.8)), rng)
+            if trial % 3 == 0:
+                h = apply_permutation(g, random_permutation(n, rng))
+            else:
+                h = random_graph(n, float(rng.uniform(0.2, 0.8)), rng)
+            pairs.append((g, h))
+
+        def wl_hash(g, iterations):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges)
+            return nx.weisfeiler_lehman_graph_hash(h, iterations=iterations)
+
+        with warnings.catch_warnings():
+            # networkx warns that its unlabelled hashes changed in v3.5
+            warnings.simplefilter("ignore", UserWarning)
+            for g1, g2 in pairs:
+                iterations = max(g1.n, g2.n)
+                expected = wl_hash(g1, iterations) != wl_hash(g2, iterations)
+                assert distinguishes(*wl1_refine_pair(g1, g2)[:2]) == expected
 
 
 class TestFingerprint:
