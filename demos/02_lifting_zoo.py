@@ -30,5 +30,5 @@ print()
 top = lift_path_complex(g, 3)
 gid = top.member_id(3, (1, 0, 2, 3))
 print("boundary of the 3-path 1-0-2-3:")
-for b in top.boundary[gid]:
+for b in top.boundary_of(gid):
     print("   ", top.carrier_of(b))

@@ -189,23 +189,27 @@ def parse_manifest(path) -> list:
 
     A malformed line raises :class:`ManifestError` naming ``file:line``.
     """
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not ASCII text ({exc.reason})") from exc
     specs = []
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="ascii") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 6 or not all(x.isdigit() for x in parts[2:]):
-                raise ManifestError(
-                    f"{path}:{lineno}: expected 'name path n k lambda mu' "
-                    f"with integer parameters, got {line!r}"
-                )
-            name, rel = parts[0], parts[1]
-            file_path = rel if os.path.isabs(rel) else os.path.join(base, rel)
-            n, k, lam, mu = (int(x) for x in parts[2:])
-            specs.append(FamilySpec(name, file_path, n, k, lam, mu))
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 6 or not all(x.isdigit() for x in parts[2:]):
+            raise ManifestError(
+                f"{path}:{lineno}: expected 'name path n k lambda mu' "
+                f"with integer parameters, got {line!r}"
+            )
+        name, rel = parts[0], parts[1]
+        file_path = rel if os.path.isabs(rel) else os.path.join(base, rel)
+        n, k, lam, mu = (int(x) for x in parts[2:])
+        specs.append(FamilySpec(name, file_path, n, k, lam, mu))
     return specs
 
 
@@ -224,14 +228,13 @@ def load_family(spec: FamilySpec, validate: bool = True) -> list:
 def _lift_all(graphs, cfg: RunConfig):
     """Lift and index every graph; returns ``(complexes, milliseconds)``.
 
-    The boundary CSR and the upper triples are built here because every
-    method reads both, so their cost is charged to the lift, not to the
-    first pair or seed that touches them.
+    The upper triples are built here because every method reads them, so
+    their cost is charged to the lift, not to the first pair or seed that
+    touches them.
     """
     t0 = time.monotonic()
     complexes = [cfg.lift(g) for g in graphs]
     for c in complexes:
-        c.boundary_csr()
         c.upper_adjacency()
     return complexes, (time.monotonic() - t0) * 1000.0
 
@@ -404,6 +407,11 @@ class TimingStats:
         return self.__dict__.copy()
 
 
+# BLAS/OpenMP thread settings: bitwise equal embeddings need equal values.
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
 def _environment_fingerprint() -> str:
     cpu = platform.processor() or platform.machine()
     try:
@@ -414,7 +422,16 @@ def _environment_fingerprint() -> str:
                     break
     except OSError:
         pass
-    return f"{cpu}; {os.cpu_count()} logical cpus; python {platform.python_version()}"
+    try:  # numpy builds before 1.26 cannot report their BLAS as a dict
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"BLAS {blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        blas = "BLAS unknown"
+    threads = "".join(f"; {v}={os.environ[v]}" for v in _THREAD_VARS if v in os.environ)
+    return (
+        f"{cpu}; {os.cpu_count()} logical cpus; python {platform.python_version()}; "
+        f"numpy {np.__version__}; {blas}{threads}"
+    )
 
 
 def time_lifting(graphs, cfg: RunConfig, repeats: int = 10) -> TimingStats:

@@ -164,8 +164,12 @@ def _read_all_graphs(path: str, fmt: str):
         fmt = "graph6" if path.endswith((".g6", ".graph6")) else "edges"
     if fmt == "graph6":
         return read_graph6_file(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        return [parse_edge_list(handle.read())]
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return [parse_edge_list(text)]
 
 
 def _read_one_graph(path: str, fmt: str, index: int):

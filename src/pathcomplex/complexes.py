@@ -17,10 +17,17 @@ lifting at run time go through it.
 Member ids are global and dimension-major; within a dimension members are
 listed in lexicographic carrier order, which makes every derived structure
 reproducible across runs.
+
+A complex stores its carriers per dimension and one boundary CSR, which
+every lifting fills through one assembler from its kind's ``faces(carrier)``.
+The coboundary CSR (a stable argsort of the boundary CSR) and the upper and
+lower adjacency triples (ordered pairs within each row of the two CSRs) are
+derived from it on first use and cached.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -106,28 +113,18 @@ class CyclicFamily:
 
 
 class HigherOrderComplex:
-    """Members per dimension plus boundary incidence, with derived adjacency."""
+    """Members per dimension plus one boundary CSR, the only stored incidence."""
 
-    def __init__(self, kind, source, max_dim, members_by_dim, boundary):
+    def __init__(self, kind, source, max_dim, members_by_dim, indptr, indices):
         self.kind = kind
         self.source = source
         self.n = source.n if source is not None else 0
         self.max_dim = max_dim
         self.members_by_dim = [list(ms) for ms in members_by_dim]
-        self.boundary = [sorted(b) for b in boundary]
-        offs = [0]
-        for ms in self.members_by_dim:
-            offs.append(offs[-1] + len(ms))
-        self.dim_offsets = tuple(offs)
-        self.total = offs[-1]
+        self.dim_offsets = _offsets(self.members_by_dim)
+        self.total = self.dim_offsets[-1]
         self._index = None
-        self.coboundary = [[] for _ in range(self.total)]
-        for gid, bnd in enumerate(self.boundary):
-            for b in bnd:
-                self.coboundary[b].append(gid)
-        for cb in self.coboundary:
-            cb.sort()
-        self._boundary_csr = None
+        self._boundary_csr = (indptr, indices)
         self._coboundary_csr = None
         self._upper_flat = None
         self._lower_flat = None
@@ -166,20 +163,27 @@ class HigherOrderComplex:
     def dim_range(self, p: int) -> range:
         return range(self.dim_offsets[p], self.dim_offsets[p + 1])
 
-    def boundary_sizes(self) -> list:
-        return [len(b) for b in self.boundary]
+    def boundary_of(self, gid: int) -> np.ndarray:
+        """Ascending boundary ids of one member (a view into the CSR)."""
+        indptr, indices = self._boundary_csr
+        return indices[indptr[gid]:indptr[gid + 1]]
 
-    # -- derived index structures ----------------------------------------
+    # -- incidence -------------------------------------------------------
 
     def boundary_csr(self):
         """(indptr, indices): boundary ids of member g at indices[indptr[g]:indptr[g+1]]."""
-        if self._boundary_csr is None:
-            self._boundary_csr = _csr(self.boundary)
         return self._boundary_csr
 
     def coboundary_csr(self):
+        """The transposed CSR; each row lists its co-faces in ascending id order."""
         if self._coboundary_csr is None:
-            self._coboundary_csr = _csr(self.coboundary)
+            indptr, indices = self._boundary_csr
+            rows = np.repeat(np.arange(self.total, dtype=np.int64), np.diff(indptr))
+            # a stable sort keeps each face's co-faces in ascending row order
+            order = np.argsort(indices, kind="stable")
+            co_indptr = np.zeros(self.total + 1, dtype=np.int64)
+            np.cumsum(np.bincount(indices, minlength=self.total), out=co_indptr[1:])
+            self._coboundary_csr = (co_indptr, rows[order])
         return self._coboundary_csr
 
     def upper_adjacency(self):
@@ -189,13 +193,13 @@ class HigherOrderComplex:
         per witness.
         """
         if self._upper_flat is None:
-            self._upper_flat = _pair_triples(self.boundary)
+            self._upper_flat = _pair_triples(*self.boundary_csr())
         return self._upper_flat
 
     def lower_adjacency(self):
         """Flat witness triples (src, tau, delta) through shared boundaries."""
         if self._lower_flat is None:
-            self._lower_flat = _pair_triples(self.coboundary)
+            self._lower_flat = _pair_triples(*self.coboundary_csr())
         return self._lower_flat
 
     # -- comparisons -----------------------------------------------------
@@ -207,7 +211,7 @@ class HigherOrderComplex:
             and self.n == other.n
             and self.max_dim == other.max_dim
             and self.members_by_dim == other.members_by_dim
-            and self.boundary == other.boundary
+            and all(map(np.array_equal, self._boundary_csr, other._boundary_csr))
         )
 
     def __repr__(self) -> str:
@@ -217,53 +221,40 @@ class HigherOrderComplex:
         )
 
 
-def _csr(incidence: list):
-    """(indptr, indices) of a list of id lists."""
-    lens = np.fromiter(
-        (len(b) for b in incidence), dtype=np.int64, count=len(incidence)
-    )
-    indptr = np.zeros(len(incidence) + 1, dtype=np.int64)
-    np.cumsum(lens, out=indptr[1:])
-    if indptr[-1]:
-        indices = np.concatenate(
-            [np.asarray(b, dtype=np.int64) for b in incidence if b]
-        )
-    else:
-        indices = np.zeros(0, dtype=np.int64)
-    return indptr, indices
+def _pair_triples(indptr, indices):
+    """All ordered pairs drawn from each CSR row, tagged by the row id.
 
-
-def _pair_triples(incidence: list):
-    """All ordered pairs drawn from each incidence list, tagged by the witness.
-
-    For lists ``incidence[delta] = [a, b, c]`` emits (a,b,delta), (a,c,delta),
-    (b,a,delta), ... Grouped by list size so numpy can emit pairs in bulk.
+    For a row ``delta`` holding ``[a, b, c]`` emits (a,b,delta), (a,c,delta),
+    (b,a,delta), ... Rows are grouped by length so numpy can emit pairs in
+    bulk.
     """
-    by_size = {}
-    for delta, lst in enumerate(incidence):
-        if len(lst) >= 2:
-            by_size.setdefault(len(lst), ([], []))
-            by_size[len(lst)][0].append(delta)
-            by_size[len(lst)][1].append(lst)
-    srcs, taus, deltas = [], [], []
-    for size, (ids, lists) in by_size.items():
-        arr = np.asarray(lists, dtype=np.int64)
-        ids = np.asarray(ids, dtype=np.int64)
-        for i in range(size):
-            for j in range(size):
-                if i == j:
-                    continue
-                srcs.append(arr[:, i])
-                taus.append(arr[:, j])
-                deltas.append(ids)
-    if not srcs:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
+    lens = np.diff(indptr)
+    empty = np.zeros(0, dtype=np.int64)
+    srcs, taus, deltas = [empty], [empty], [empty]
+    for size in np.unique(lens[lens >= 2]).tolist():
+        ids = np.flatnonzero(lens == size)
+        arr = indices[indptr[ids][:, None] + np.arange(size)]
+        for i, j in itertools.permutations(range(size), 2):
+            srcs.append(arr[:, i])
+            taus.append(arr[:, j])
+            deltas.append(ids)
     src = np.concatenate(srcs)
     tau = np.concatenate(taus)
     delta = np.concatenate(deltas)
     order = np.lexsort((delta, tau, src))
     return src[order], tau[order], delta[order]
+
+
+def _offsets(members) -> tuple:
+    """First global id of each dimension, then the member total."""
+    return tuple(itertools.accumulate(map(len, members), initial=0))
+
+
+def _pack(sizes, flat):
+    """(indptr, indices) from per-row sizes and the rows' ids laid end to end."""
+    indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    return indptr, np.array(flat, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +276,44 @@ class _CapCounter:
                 f"member count exceeded the cap of {self.cap}; "
                 "lower the lifting dimension or raise the cap"
             )
+
+
+def _faces(kind: str, g: SimpleGraph, boundary_mode: str = "incidence"):
+    """``faces(carrier)``: the canonical carriers one dimension down that bound it.
+
+    Path faces are the one-vertex deletions that remain walks in ``g`` (only
+    the two end deletions under ``"truncation"``); simplex faces are the
+    facets; a cell's faces are a ring's edges, or an edge's endpoints.
+    """
+    skips = boundary_mode == "incidence"
+
+    def faces(c):
+        last = len(c) - 1
+        if kind == "cell" and last > 1:  # a ring is bounded by its edges
+            return [canonical_path((c[q - 1], c[q])) for q in range(last + 1)]
+        return [
+            canonical_path(c[:q] + c[q + 1:]) for q in range(last + 1)
+            # a path keeps an interior deletion only if it is still a walk
+            if kind != "path" or q in (0, last)
+            or skips and g.has_edge(c[q - 1], c[q + 1])
+        ]
+
+    return faces
+
+
+def _assemble(kind, g, max_dim, members, faces) -> HigherOrderComplex:
+    """The complex on ``members`` whose boundary CSR row of each member holds
+    the ascending ids of its ``faces``; dimension-0 rows are empty."""
+    offsets = _offsets(members)
+    sizes = [0] * len(members[0])
+    flat = []
+    for p in range(1, len(members)):
+        lower = {c: offsets[p - 1] + i for i, c in enumerate(members[p - 1])}
+        for carrier in members[p]:
+            ids = sorted([lower[f] for f in faces(carrier)])
+            sizes.append(len(ids))
+            flat.extend(ids)
+    return HigherOrderComplex(kind, g, max_dim, members, *_pack(sizes, flat))
 
 
 def lift_path_complex(
@@ -330,27 +359,7 @@ def lift_path_complex(
             in_path[s] = True
             extend([s])
             in_path[s] = False
-    index = [{c: i for i, c in enumerate(ms)} for ms in members]
-    offsets = [0]
-    for ms in members:
-        offsets.append(offsets[-1] + len(ms))
-    boundary = [[] for _ in range(offsets[-1])]
-    for p in range(1, max_dim + 1):
-        lower = index[p - 1]
-        base_lo = offsets[p - 1]
-        base = offsets[p]
-        for i, seq in enumerate(members[p]):
-            out = []
-            for q in range(p + 1):
-                if 0 < q < p:
-                    if boundary_mode == "truncation":
-                        continue
-                    if not g.has_edge(seq[q - 1], seq[q + 1]):
-                        continue
-                dropped = canonical_path(seq[:q] + seq[q + 1:])
-                out.append(base_lo + lower[dropped])
-            boundary[base + i] = sorted(out)
-    return HigherOrderComplex("path", g, max_dim, members, boundary)
+    return _assemble("path", g, max_dim, members, _faces("path", g, boundary_mode))
 
 
 def lift_clique_complex(
@@ -382,20 +391,7 @@ def lift_clique_complex(
         members[0].append((v,))
         if max_dim >= 1:
             extend([v])
-    index = [{c: i for i, c in enumerate(ms)} for ms in members]
-    offsets = [0]
-    for ms in members:
-        offsets.append(offsets[-1] + len(ms))
-    boundary = [[] for _ in range(offsets[-1])]
-    for p in range(1, max_dim + 1):
-        lower = index[p - 1]
-        base_lo = offsets[p - 1]
-        base = offsets[p]
-        for i, cl in enumerate(members[p]):
-            boundary[base + i] = sorted(
-                base_lo + lower[cl[:q] + cl[q + 1:]] for q in range(p + 1)
-            )
-    return HigherOrderComplex("simplex", g, max_dim, members, boundary)
+    return _assemble("simplex", g, max_dim, members, _faces("simplex", g))
 
 
 def lift_ring_complex(
@@ -435,21 +431,7 @@ def lift_ring_complex(
             if v1 > v0:
                 extend([v0, v1], frozenset())
     rings.sort()
-    members = [verts, edges, rings]
-    edge_index = {e: i for i, e in enumerate(edges)}
-    boundary = [[] for _ in range(g.n + len(edges) + len(rings))]
-    base_e = g.n
-    base_r = g.n + len(edges)
-    for i, (u, v) in enumerate(edges):
-        boundary[base_e + i] = [u, v]
-    for i, ring in enumerate(rings):
-        out = []
-        m = len(ring)
-        for q in range(m):
-            a, b = ring[q], ring[(q + 1) % m]
-            out.append(base_e + edge_index[(a, b) if a < b else (b, a)])
-        boundary[base_r + i] = sorted(out)
-    return HigherOrderComplex("cell", g, 2, members, boundary)
+    return _assemble("cell", g, 2, [verts, edges, rings], _faces("cell", g))
 
 
 # Every lifting kind, with the name of the structural parameter it takes.
@@ -509,8 +491,9 @@ def serialize_complex(c: HigherOrderComplex) -> str:
             lines.append(f"{gid}: " + " ".join(str(v) for v in carrier))
             gid += 1
     lines.append("boundaries")
+    indptr, indices = (a.tolist() for a in c.boundary_csr())
     for gid in range(c.total):
-        lines.append(f"{gid}: " + " ".join(str(b) for b in c.boundary[gid]))
+        lines.append(f"{gid}: " + " ".join(map(str, indices[indptr[gid]:indptr[gid + 1]])))
     return "\n".join(lines) + "\n"
 
 
@@ -562,18 +545,26 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
             carrier = tuple(int(v) for v in rest.split())
             if any(not 0 <= v < n for v in carrier):
                 raise SerializationError(f"vertex out of range in member {gid_s}")
+            if not _is_canonical(kind, p, carrier):
+                raise SerializationError(
+                    f"member {gid_s} is not a canonical dimension-{p} {kind} carrier"
+                )
             ms.append(carrier)
             expected_gid += 1
             pos += 1
+        if ms != sorted(set(ms)):
+            raise SerializationError(
+                f"dimension {p} members repeat or leave lexicographic order"
+            )
         members.append(ms)
     if pos >= len(lines) or lines[pos] != "boundaries":
         raise SerializationError("missing 'boundaries' section")
     pos += 1
     total = expected_gid
-    offsets = [0]
-    for ms in members:
-        offsets.append(offsets[-1] + len(ms))
-    boundary = [[] for _ in range(total)]
+    offsets = _offsets(members)
+    source = SimpleGraph.from_edges(n, members[1] if max_dim >= 1 else [])
+    faces = _faces(kind, source)  # incidence faces include the truncation ones
+    rows = [None] * total
     for _ in range(total):
         if pos >= len(lines):
             raise SerializationError("truncated boundaries section")
@@ -583,20 +574,36 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
         gid = int(gid_s)
         if not 0 <= gid < total:
             raise SerializationError(f"boundary line for unknown member {gid}")
-        ids = [int(v) for v in rest.split()]
+        if rows[gid] is not None:
+            raise SerializationError(f"repeated boundary line for member {gid}")
+        ids = sorted(int(v) for v in rest.split())
         dim = next(p for p in range(max_dim + 1) if gid < offsets[p + 1])
-        lo, hi = (offsets[dim - 1], offsets[dim]) if dim > 0 else (0, 0)
+        lo, hi = offsets[max(dim - 1, 0)], offsets[dim]
+        allowed = set(faces(members[dim][gid - offsets[dim]]))
         for b in ids:
             if not lo <= b < hi:
                 raise SerializationError(
                     f"dangling boundary id {b} for member {gid} (dimension {dim})"
                 )
-        boundary[gid] = ids
+            if members[dim - 1][b - lo] not in allowed:
+                raise SerializationError(
+                    f"boundary id {b} of member {gid} is not a face of its carrier"
+                )
+        if len(set(ids)) != len(ids):
+            raise SerializationError(f"repeated boundary id for member {gid}")
+        rows[gid] = ids
         pos += 1
-    source = _reconstruct_source(n, members, max_dim)
-    return HigherOrderComplex(kind, source, max_dim, members, boundary)
+    return HigherOrderComplex(
+        kind, source, max_dim, members,
+        *_pack([len(r) for r in rows], [b for r in rows for b in r]),
+    )
 
 
-def _reconstruct_source(n, members, max_dim):
-    edges = [tuple(c) for c in members[1]] if max_dim >= 1 else []
-    return SimpleGraph.from_edges(n, edges)
+def _is_canonical(kind, p, carrier) -> bool:
+    """True iff ``carrier`` is a simple dimension-p carrier in canonical orientation."""
+    if len(set(carrier)) != len(carrier):
+        return False
+    if kind == "cell" and p == 2:
+        return len(carrier) >= 3 and carrier == canonical_ring(carrier)
+    canonical = canonical_path(carrier) if kind == "path" else tuple(sorted(carrier))
+    return len(carrier) == p + 1 and carrier == canonical

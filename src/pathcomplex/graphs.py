@@ -195,16 +195,20 @@ def encode_graph6(g: SimpleGraph) -> str:
 
 def read_graph6_file(path) -> list:
     """Read a one-graph-per-line graph6 file."""
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"{path}: not ASCII text ({exc.reason})") from exc
     graphs = []
-    with open(path, "r", encoding="ascii") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                graphs.append(parse_graph6(line))
-            except GraphParseError as exc:
-                raise GraphParseError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            graphs.append(parse_graph6(line))
+        except GraphParseError as exc:
+            raise GraphParseError(f"{path}:{lineno}: {exc}") from exc
     return graphs
 
 

@@ -1,8 +1,8 @@
 """Random-weight forward pass over complexes for the distinguishability protocol.
 
 The network mirrors the refinement engine's information flow: each layer
-sends every member a boundary message (GIN-style epsilon self term plus the
-sum of boundary features) and an upper-adjacency message (a learnable mix of
+sends every member a boundary message (its own feature plus the sum of
+boundary features) and an upper-adjacency message (a learnable mix of
 each upper neighbor with its shared co-boundary witness, summed), then
 updates through a dense layer on the concatenation.  Embeddings are read out
 by per-dimension sum pooling, a dense layer per dimension, summation across
@@ -58,9 +58,6 @@ class NetworkParams:
     hidden_dim: int
     embed_dim: int
     max_dim: int
-    use_coboundary_features: bool = True
-    eps_boundary: float = 0.0
-    eps_upper: float = 0.0
     layer_weights: tuple = field(default=(), compare=False, repr=False)
     pool_dense: tuple = field(default=(), compare=False, repr=False)
     projection: tuple = field(default=(), compare=False, repr=False)
@@ -72,9 +69,6 @@ class NetworkParams:
         max_dim: int,
         hidden_dim: int = 16,
         embed_dim: int = 32,
-        use_coboundary_features: bool = True,
-        eps_boundary: float = 0.0,
-        eps_upper: float = 0.0,
     ) -> "NetworkParams":
         rng = np.random.default_rng(seed)
 
@@ -85,7 +79,6 @@ class NetworkParams:
             return w, b
 
         d = hidden_dim
-        msg_in = 2 * d if use_coboundary_features else d
         layer_weights = []
         for _ in range(layers):
             per_dim = []
@@ -93,7 +86,7 @@ class NetworkParams:
                 per_dim.append(
                     {
                         "boundary": draw(d, d),
-                        "message": draw(msg_in, d),
+                        "message": draw(2 * d, d),
                         "upper": draw(d, d),
                         "update": draw(2 * d, d),
                     }
@@ -107,9 +100,6 @@ class NetworkParams:
             hidden_dim=hidden_dim,
             embed_dim=embed_dim,
             max_dim=max_dim,
-            use_coboundary_features=use_coboundary_features,
-            eps_boundary=eps_boundary,
-            eps_upper=eps_upper,
             layer_weights=tuple(layer_weights),
             pool_dense=pool_dense,
             projection=projection,
@@ -130,37 +120,14 @@ class FeatureState:
         return self.values[0].shape[1] if self.values else 0
 
 
-def init_features(
-    c: HigherOrderComplex,
-    hidden_dim: int = 16,
-    mode: str = "sum",
-    base: str = "ones",
-) -> FeatureState:
-    """Populate features bottom-up: a base vector at dimension 0, then the sum
-    (or mean) of boundary features at each higher dimension."""
-    if mode not in ("sum", "mean"):
-        raise ValueError(f"unknown init mode {mode!r}")
-    if base not in ("ones", "degree"):
-        raise ValueError(f"unknown base feature {base!r}")
+def init_features(c: HigherOrderComplex, hidden_dim: int = 16) -> FeatureState:
+    """Populate features bottom-up: ones at dimension 0, then the sum of
+    boundary features at each higher dimension."""
     counts = c.counts()
-    values = []
-    if base == "ones":
-        v0 = np.ones((counts[0], hidden_dim), dtype=np.float64)
-    else:
-        degs = np.array(
-            [c.source.degree(carrier[0]) for carrier in c.members_by_dim[0]],
-            dtype=np.float64,
-        )
-        v0 = np.repeat(degs[:, None], hidden_dim, axis=1)
-    values.append(v0)
+    values = [np.ones((counts[0], hidden_dim), dtype=np.float64)]
     for p in range(1, c.max_dim + 1):
         src, dst = _dim_boundary(c, p)
-        agg = _segment_sum(values[p - 1][dst], src, counts[p])
-        if mode == "mean":
-            sizes = np.bincount(src, minlength=counts[p]).astype(np.float64)
-            sizes[sizes == 0] = 1.0
-            agg = agg / sizes[:, None]
-        values.append(agg)
+        values.append(_segment_sum(values[p - 1][dst], src, counts[p]))
     return FeatureState(values)
 
 
@@ -225,19 +192,14 @@ def forward(
             if p >= 1:
                 src, dst = bnd[p]
                 agg_b = _segment_sum(h[p - 1][dst], src, counts[p])
-            m_b = _elu(_dense((1.0 + params.eps_boundary) * h[p] + agg_b,
-                              blocks["boundary"]))
+            m_b = _elu(_dense(h[p] + agg_b, blocks["boundary"]))
             src, tau, delta = upp[p]
             agg_u = np.zeros((counts[p], d))
             if src.size:
-                if params.use_coboundary_features:
-                    pair = np.concatenate([h[p][tau], h[p + 1][delta]], axis=1)
-                else:
-                    pair = h[p][tau]
+                pair = np.concatenate([h[p][tau], h[p + 1][delta]], axis=1)
                 msgs = _elu(_dense(pair, blocks["message"]))
                 agg_u = _segment_sum(msgs, src, counts[p])
-            m_u = _elu(_dense((1.0 + params.eps_upper) * h[p] + agg_u,
-                              blocks["upper"]))
+            m_u = _elu(_dense(h[p] + agg_u, blocks["upper"]))
             out = _elu(_dense(np.concatenate([m_b, m_u], axis=1),
                               blocks["update"]))
             if not np.all(np.isfinite(out)):

@@ -71,6 +71,20 @@ class TestLift:
         assert code == 2
         assert "self-loop" in err
 
+    def test_non_ascii_graph6_is_an_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.g6"
+        bad.write_bytes(b"\xff\xfe\n")
+        code, _, err = run(capsys, "lift", bad)
+        assert code == 2
+        assert "bad.g6" in err
+
+    def test_undecodable_edge_list_is_an_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"n 2\n0 1\xff\n")
+        code, _, err = run(capsys, "lift", bad, "--format", "edges")
+        assert code == 2
+        assert "bad.txt" in err
+
     def test_member_cap_exit_code(self, capsys, files):
         code, _, err = run(capsys, "lift", files["c6"], "--max-dim", "4",
                            "--member-cap", "3")
@@ -171,6 +185,13 @@ class TestBench:
         assert "GHOST" in err
         assert "SR(16,6,2,2)" in out
 
+
+    def test_non_ascii_manifest_is_an_input_error(self, capsys, tmp_path):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("FAM f\u00e9.g6 16 6 2 2\n", encoding="utf-8")
+        code, _, err = run(capsys, "bench", manifest)
+        assert code == 2
+        assert "m.txt" in err
 
     @pytest.mark.parametrize("line", ["FAM f.g6 16 six 2 2", "FAM f.g6 16 6 2"])
     def test_malformed_manifest_is_an_input_error(self, capsys, tmp_path, line):

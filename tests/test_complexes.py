@@ -98,7 +98,7 @@ class TestPathLift:
     def test_interior_deletions_blocked_without_skip_edge(self):
         c = lift_path_complex(FIG3B, 3)
         gid = c.member_id(3, (1, 0, 2, 3))
-        carriers = sorted(c.carrier_of(b) for b in c.boundary[gid])
+        carriers = sorted(c.carrier_of(b) for b in c.boundary_of(gid))
         assert carriers == [(0, 2, 3), (1, 0, 2)]
 
     def test_enumeration_matches_oracle_on_random_graphs(self):
@@ -118,7 +118,7 @@ class TestPathLift:
             c = lift_path_complex(g, 4, boundary_mode=mode)
             for p in range(1, 5):
                 for gid in c.dim_range(p):
-                    got = {c.carrier_of(b) for b in c.boundary[gid]}
+                    got = {c.carrier_of(b) for b in c.boundary_of(gid)}
                     assert got == oracle_path_boundary(g, c.carrier_of(gid), mode)
 
     def test_closure_both_truncations_present(self):
@@ -128,7 +128,7 @@ class TestPathLift:
             c = lift_path_complex(g, 4)
             for p in range(1, 5):
                 for seq in c.members_by_dim[p]:
-                    ids = {c.carrier_of(b) for b in c.boundary[c.member_id(p, seq)]}
+                    ids = {c.carrier_of(b) for b in c.boundary_of(c.member_id(p, seq))}
                     assert canonical_path(seq[1:]) in ids
                     assert canonical_path(seq[:-1]) in ids
 
@@ -139,13 +139,13 @@ class TestPathLift:
             c = lift_path_complex(g, 4)
             for p in range(1, 5):
                 for gid in c.dim_range(p):
-                    assert 2 <= len(c.boundary[gid]) <= p + 1
+                    assert 2 <= len(c.boundary_of(gid)) <= p + 1
 
     def test_complete_graph_boundaries_are_maximal(self):
         c = lift_path_complex(complete_graph(5), 4)
         for p in range(1, 5):
             for gid in c.dim_range(p):
-                assert len(c.boundary[gid]) == p + 1
+                assert len(c.boundary_of(gid)) == p + 1
 
     def test_transpose_consistency(self):
         g = random_graph(8, 0.5, np.random.default_rng(7))
@@ -154,12 +154,13 @@ class TestPathLift:
             lift_clique_complex(g, 3),
             lift_ring_complex(g, 5),
         ):
+            co_indptr, co_indices = c.coboundary_csr()
             for gid in range(c.total):
-                for b in c.boundary[gid]:
-                    assert gid in c.coboundary[b]
+                for b in c.boundary_of(gid):
+                    assert gid in co_indices[co_indptr[b]:co_indptr[b + 1]]
             for gid in range(c.total):
-                for cb in c.coboundary[gid]:
-                    assert gid in c.boundary[cb]
+                for cb in co_indices[co_indptr[gid]:co_indptr[gid + 1]]:
+                    assert gid in c.boundary_of(cb)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(13)
@@ -169,7 +170,8 @@ class TestPathLift:
             a = lift_path_complex(g, 3)
             b = lift_path_complex(apply_permutation(g, pi), 3)
             assert a.counts() == b.counts()
-            assert sorted(map(len, a.boundary)) == sorted(map(len, b.boundary))
+            sizes = [np.diff(x.boundary_csr()[0]) for x in (a, b)]
+            assert sorted(sizes[0]) == sorted(sizes[1])
 
     def test_member_cap(self):
         with pytest.raises(CapacityError):
@@ -187,7 +189,7 @@ class TestPathLift:
         c = lift_path_complex(complete_graph(5), 3, boundary_mode="truncation")
         for p in range(1, 4):
             for gid in c.dim_range(p):
-                assert len(c.boundary[gid]) == 2
+                assert len(c.boundary_of(gid)) == 2
 
     def test_ids_deterministic_lex_order(self):
         g = random_graph(8, 0.5, np.random.default_rng(17))
@@ -224,7 +226,7 @@ class TestCliqueLift:
         g = complete_graph(5)
         c = lift_clique_complex(g, 3)
         gid = c.member_id(3, (0, 1, 2, 3))
-        assert sorted(c.carrier_of(b) for b in c.boundary[gid]) == [
+        assert sorted(c.carrier_of(b) for b in c.boundary_of(gid)) == [
             (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
         ]
 
@@ -233,7 +235,7 @@ class TestRingLift:
     def test_square_single_cell(self):
         c = lift_ring_complex(parse_graph6("Cl"), 4)
         assert c.counts() == [4, 4, 1]
-        assert len(c.boundary[c.dim_offsets[2]]) == 4
+        assert len(c.boundary_of(c.dim_offsets[2])) == 4
 
     def test_k4_triangles_only(self):
         c = lift_ring_complex(complete_graph(4), 4)
@@ -256,7 +258,7 @@ class TestRingLift:
         g = parse_graph6("Cl")
         c = lift_ring_complex(g, 4)
         ring = c.dim_offsets[2]
-        edges = {c.carrier_of(b) for b in c.boundary[ring]}
+        edges = {c.carrier_of(b) for b in c.boundary_of(ring)}
         assert edges == set(g.edges)
 
 
@@ -346,8 +348,13 @@ class TestSerialization:
         rng = np.random.default_rng(31)
         for _ in range(25):
             g = random_graph(int(rng.integers(1, 9)), 0.5, rng)
-            c = lift_path_complex(g, 3)
-            assert deserialize_complex(serialize_complex(c)) == c
+            for c in (
+                lift_path_complex(g, 3),
+                lift_path_complex(g, 3, boundary_mode="truncation"),
+                lift_clique_complex(g, 3),
+                lift_ring_complex(g, 5),
+            ):
+                assert deserialize_complex(serialize_complex(c)) == c
 
     def test_dangling_boundary_id(self):
         text = serialize_complex(lift_path_complex(path_graph(4), 2))
@@ -375,6 +382,26 @@ class TestSerialization:
         with pytest.raises(SerializationError):
             deserialize_complex(text)
 
+    @pytest.mark.parametrize("section, old, new, message", [
+        ("members", "5: 1 2\n", "5: 0 1\n", "repeat"),  # duplicated member
+        ("members", "4: 0 1\n", "4: 1 0\n", "canonical"),  # reversed edge
+        ("boundaries", "7: 4 5\n", "7: 4 6\n", "not a face"),  # (2,3) bounds (0,1,2)
+        ("boundaries", "8: 5 6\n", "7: 4 5\n", "repeated boundary line"),
+        ("boundaries", "7: 4 5\n", "7: 4 4\n", "repeated boundary id"),
+    ])
+    def test_structurally_invalid_payload_rejected(self, section, old, new, message):
+        # path_graph(4) to dimension 2: edges are ids 4..6, 2-paths 7 and 8
+        text = serialize_complex(lift_path_complex(path_graph(4), 2))
+        head, _, tail = text.partition("boundaries\n")
+        if section == "members":
+            assert old in head
+            head = head.replace(old, new)
+        else:
+            assert old in tail
+            tail = tail.replace(old, new)
+        with pytest.raises(SerializationError, match=message):
+            deserialize_complex(head + "boundaries\n" + tail)
+
     def test_upper_adjacency_survives_roundtrip(self):
         c = lift_path_complex(FIG3B, 3)
         d = deserialize_complex(serialize_complex(c))
@@ -387,16 +414,16 @@ class TestAdjacencyStructure:
         c = lift_path_complex(FIG3B, 3)
         src, tau, delta = c.upper_adjacency()
         for s, t, d in zip(src, tau, delta):
-            assert s in c.boundary[d]
-            assert t in c.boundary[d]
+            assert s in c.boundary_of(d)
+            assert t in c.boundary_of(d)
             assert s != t
 
     def test_lower_adjacency_witnesses(self):
         c = lift_path_complex(FIG3B, 3)
         src, tau, delta = c.lower_adjacency()
         for s, t, d in zip(src, tau, delta):
-            assert d in c.boundary[s]
-            assert d in c.boundary[t]
+            assert d in c.boundary_of(s)
+            assert d in c.boundary_of(t)
             assert s != t
 
     def test_multiplicity_per_witness(self):
@@ -410,6 +437,64 @@ class TestAdjacencyStructure:
         ]
         # e(0,1) and e(0,2) share the co-boundaries e(0,1,2)... count them
         shared = [
-            d for d in c.coboundary[e01] if e01 in c.boundary[d] and e02 in c.boundary[d]
+            d for d in range(c.total)
+            if e01 in c.boundary_of(d) and e02 in c.boundary_of(d)
         ]
         assert len(hits) == len(shared) >= 1
+
+
+class TestDerivedStructuresOracle:
+    """Boundary rows, the coboundary CSR and both triple sets against
+    pure-Python constructions from the carriers alone."""
+
+    @staticmethod
+    def oracle_boundaries(g, c, mode):
+        ids = {c.carrier_of(gid): gid for gid in range(c.total)}
+        rows = []
+        for gid in range(c.total):
+            seq = c.carrier_of(gid)
+            p = c.dim_of(gid)
+            if p == 0:
+                faces = set()
+            elif c.kind == "path":
+                faces = oracle_path_boundary(g, seq, mode)
+            elif c.kind == "cell" and p == 2:
+                m = len(seq)
+                faces = {canonical_path((seq[i], seq[(i + 1) % m])) for i in range(m)}
+            else:
+                faces = set(itertools.combinations(seq, p))
+            rows.append(sorted(ids[f] for f in faces))
+        return rows
+
+    @staticmethod
+    def pairs(rows):
+        return sorted(
+            (s, t, d) for d, row in enumerate(rows) for s in row for t in row if s != t
+        )
+
+    def test_every_kind_and_boundary_mode(self):
+        rng = np.random.default_rng(43)
+        for _ in range(6):
+            g = random_graph(int(rng.integers(3, 9)), float(rng.uniform(0.3, 0.8)), rng)
+            for c, mode in (
+                (lift_path_complex(g, 3), "incidence"),
+                (lift_path_complex(g, 3, boundary_mode="truncation"), "truncation"),
+                (lift_clique_complex(g, 3), None),
+                (lift_ring_complex(g, 5), None),
+            ):
+                bnd = self.oracle_boundaries(g, c, mode)
+                co = [[] for _ in range(c.total)]
+                for gid, row in enumerate(bnd):
+                    for b in row:
+                        co[b].append(gid)
+                for (indptr, indices), rows in (
+                    (c.boundary_csr(), bnd), (c.coboundary_csr(), co)
+                ):
+                    assert len(indptr) == c.total + 1
+                    assert [
+                        indices[indptr[i]:indptr[i + 1]].tolist() for i in range(c.total)
+                    ] == rows
+                for triples, rows in (
+                    (c.upper_adjacency(), bnd), (c.lower_adjacency(), co)
+                ):
+                    assert list(zip(*(t.tolist() for t in triples))) == self.pairs(rows)

@@ -25,29 +25,17 @@ from pathcomplex.refine import distinguishes, refine_pair
 class TestInitFeatures:
     def test_path_graph_sum_values(self):
         c = lift_path_complex(path_graph(4), 3)
-        f = init_features(c, hidden_dim=1, mode="sum")
+        f = init_features(c, hidden_dim=1)
         assert np.allclose(f.values[0], 1.0)
         assert np.allclose(f.values[1], 2.0)
         # both 2-paths keep exactly their two end-truncations on the boundary
         assert np.allclose(f.values[2], 4.0)
-
-    def test_mean_of_ones_stays_ones(self):
-        c = lift_path_complex(cycle_graph(5), 3)
-        f = init_features(c, hidden_dim=4, mode="mean")
-        for block in f.values:
-            assert np.allclose(block, 1.0)
 
     def test_empty_dimension_is_fine(self):
         c = lift_path_complex(path_graph(2), 3)
         f = init_features(c, hidden_dim=2)
         assert f.values[2].shape == (0, 2)
         assert f.values[3].shape == (0, 2)
-
-    def test_degree_base(self):
-        c = lift_path_complex(path_graph(3), 1)
-        f = init_features(c, hidden_dim=2, base="degree")
-        assert np.allclose(f.values[0][0], 1.0)
-        assert np.allclose(f.values[0][1], 2.0)
 
     def test_incidence_mode_adds_skip_boundaries(self):
         g = complete_graph(3)
@@ -142,15 +130,6 @@ class TestForward:
         bad = init_features(c, hidden_dim=8)
         with pytest.raises(ValueError, match="shape"):
             forward(c, bad, params)
-
-    def test_isotropic_variant_runs_and_differs(self):
-        c = lift_path_complex(cycle_graph(6), 2)
-        f = init_features(c)
-        iso = NetworkParams.create(
-            seed=2, layers=3, max_dim=2, use_coboundary_features=False
-        )
-        full = NetworkParams.create(seed=2, layers=3, max_dim=2)
-        assert not np.array_equal(forward(c, f, iso), forward(c, f, full))
 
     def test_works_on_ring_complexes(self):
         c = lift_ring_complex(complete_graph(4), 4)

@@ -128,7 +128,7 @@ class TestInvariants:
         a = lift_path_complex(random_graph(8, 0.5, rng), 3)
         b = lift_path_complex(random_graph(8, 0.6, rng), 3)
         colors = refinement_trace(a, b, rounds=1)[1]
-        sizes = [len(bd) for bd in a.boundary] + [len(bd) for bd in b.boundary]
+        sizes = [*np.diff(a.boundary_csr()[0]), *np.diff(b.boundary_csr()[0])]
         by_color = {}
         for c, s in zip(colors, sizes):
             by_color.setdefault(c, set()).add(s)
