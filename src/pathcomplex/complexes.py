@@ -563,6 +563,13 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
     total = expected_gid
     offsets = _offsets(members)
     source = SimpleGraph.from_edges(n, members[1] if max_dim >= 1 else [])
+    for p in range(2, max_dim + 1):
+        for i, carrier in enumerate(members[p]):
+            if not _spans(kind, carrier, source):
+                raise SerializationError(
+                    f"member {offsets[p] + i} is not a {_SHAPES[kind]} "
+                    "of the dimension-1 members"
+                )
     faces = _faces(kind, source)  # incidence faces include the truncation ones
     rows = [None] * total
     for _ in range(total):
@@ -579,7 +586,8 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
         ids = sorted(int(v) for v in rest.split())
         dim = next(p for p in range(max_dim + 1) if gid < offsets[p + 1])
         lo, hi = offsets[max(dim - 1, 0)], offsets[dim]
-        allowed = set(faces(members[dim][gid - offsets[dim]]))
+        carrier = members[dim][gid - offsets[dim]]
+        allowed = set(faces(carrier))
         for b in ids:
             if not lo <= b < hi:
                 raise SerializationError(
@@ -591,12 +599,36 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
                 )
         if len(set(ids)) != len(ids):
             raise SerializationError(f"repeated boundary id for member {gid}")
+        required = allowed if dim else set()
+        if kind == "path" and dim:  # interior deletions depend on the mode
+            required = {canonical_path(carrier[1:]), canonical_path(carrier[:-1])}
+        missing = required - {members[dim - 1][b - lo] for b in ids}
+        if missing:
+            raise SerializationError(
+                f"boundary of member {gid} lacks its face {min(missing)}"
+            )
         rows[gid] = ids
         pos += 1
     return HigherOrderComplex(
         kind, source, max_dim, members,
         *_pack([len(r) for r in rows], [b for r in rows for b in r]),
     )
+
+
+_SHAPES = {"path": "walk", "simplex": "clique", "cell": "chordless cycle"}
+
+
+def _spans(kind, carrier, g: SimpleGraph) -> bool:
+    """True iff ``carrier`` is a walk (path), a clique (simplex) or a
+    chordless cycle (cell) of ``g``."""
+    if kind == "path":
+        return all(map(g.has_edge, carrier, carrier[1:]))
+    m = len(carrier)
+    for i, j in itertools.combinations(range(m), 2):
+        ring_edge = j == i + 1 or (i, j) == (0, m - 1)
+        if g.has_edge(carrier[i], carrier[j]) != (kind == "simplex" or ring_edge):
+            return False
+    return True
 
 
 def _is_canonical(kind, p, carrier) -> bool:

@@ -196,8 +196,10 @@ def forward(
             src, tau, delta = upp[p]
             agg_u = np.zeros((counts[p], d))
             if src.size:
-                pair = np.concatenate([h[p][tau], h[p + 1][delta]], axis=1)
-                msgs = _elu(_dense(pair, blocks["message"]))
+                # the dense layer on [neighbor, witness], split by weight rows
+                # so no (triples, 2d) pair array is built
+                w, b = blocks["message"]
+                msgs = _elu((h[p] @ w[:d])[tau] + (h[p + 1] @ w[d:])[delta] + b)
                 agg_u = _segment_sum(msgs, src, counts[p])
             m_u = _elu(_dense(h[p] + agg_u, blocks["upper"]))
             out = _elu(_dense(np.concatenate([m_b, m_u], axis=1),

@@ -7,14 +7,17 @@ upper adjacency of its two endpoints.
 The refinement signature of a member is its current color together with the
 sorted color multiset of its boundary and the sorted (neighbor, witness)
 color pairs of its upper adjacency; the ``full`` rule additionally mixes in
-co-boundary colors and lower-adjacency pairs.  Signatures are relabelled
-through an injective dictionary shared by the two complexes under
-comparison, so stable histograms are directly comparable.
+co-boundary colors and lower-adjacency pairs.
 
-The per-round work is vectorized: colors are gathered through flat index
-arrays, sorted segment-wise with one lexsort per relation, scattered into a
-static per-member layout, and the relabelling walks the members once in id
-order, which keeps results independent of thread count.
+Colors are dense per-round ranks: a member's new color is the rank of its
+signature among the distinct signatures of the same length, so colors lie
+in ``[0, K)`` after every round and depend only on signature contents (the
+canonical color refinement of Berkholz, Bonsma and Grohe).  Two complexes
+refined jointly share the ranks, so their stable histograms are directly
+comparable; a complex refined alone gets an exact fingerprint from the
+distinct signatures of every round.  Each round is a handful of numpy sorts
+over flat arrays, with no per-member Python work, and results do not
+depend on thread count.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "power_order_check",
 ]
 
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -64,175 +68,132 @@ def distinguishes(hist_a: ColorHistogram, hist_b: ColorHistogram) -> bool:
     return hist_a.counts != hist_b.counts
 
 
-class _Relation:
-    """One incidence relation of the joined member set, with a static layout.
-
-    ``positions[k]`` is the slot in the flat signature buffer that receives
-    the k-th entry after the per-member value sort of a round; pair relations
-    occupy two adjacent slots per entry.
-    """
-
-    __slots__ = ("src", "values_idx", "pair_idx", "positions")
-
-    def __init__(self, src, values_idx, pair_idx):
-        self.src = src
-        self.values_idx = values_idx  # member ids whose color is gathered
-        self.pair_idx = pair_idx  # witness ids for (color, color) pairs, or None
-        self.positions = None
-
-    @property
-    def width(self) -> int:
-        return 1 if self.pair_idx is None else 2
-
-
 class _JointRefinement:
-    """Shared-dictionary refinement over the concatenated member sets."""
+    """Refinement over the concatenated member sets of one or more complexes.
+
+    Each round writes every member's signature as one int64 row in a static
+    layout: its color, then per relation the entry count and the sorted entry
+    values.  Rows of one length are contiguous, so a member's new color is
+    the rank of its row among the distinct rows of its length, offset by the
+    number of distinct rows of every shorter length.  ``digest`` absorbs the
+    row layout and each round's pair tables and distinct rows, which fix
+    what every color names.
+    """
 
     def __init__(self, complexes: Sequence[HigherOrderComplex], rule: str):
         if rule not in ("reduced", "full"):
             raise ValueError(f"unknown refinement rule {rule!r}")
-        self.rule = rule
         self.offsets = [0]
         for c in complexes:
             self.offsets.append(self.offsets[-1] + c.total)
         self.total = self.offsets[-1]
-        relations = []
-        relations.append(self._concat_csr(complexes, "boundary_csr"))
-        relations.append(self._concat_triples(complexes, "upper_adjacency"))
+        relations = [
+            self._concat_csr(complexes, "boundary_csr"),
+            self._concat_triples(complexes, "upper_adjacency"),
+        ]
         if rule == "full":
             relations.append(self._concat_csr(complexes, "coboundary_csr"))
             relations.append(self._concat_triples(complexes, "lower_adjacency"))
-        self.relations = relations
-        self._build_layout()
+        self.digest = hashlib.blake2b(digest_size=16)
+        self._build_layout(relations)
         self.colors = np.zeros(self.total, dtype=np.int64)
-        self.next_color = 1
-        self.dictionary = {}
+        self.k = 1 if self.total else 0  # number of distinct colors
         self.rounds = 0
 
-    def _concat_csr(self, complexes, attr) -> _Relation:
-        srcs, dsts = [], []
+    def _concat_csr(self, complexes, attr):
+        srcs, dsts = [_EMPTY], [_EMPTY]
         for off, c in zip(self.offsets, complexes):
             indptr, indices = getattr(c, attr)()
             lens = np.diff(indptr)
             srcs.append(np.repeat(np.arange(c.total, dtype=np.int64), lens) + off)
             dsts.append(indices + off)
-        src = np.concatenate(srcs) if srcs else np.zeros(0, dtype=np.int64)
-        dst = np.concatenate(dsts) if dsts else np.zeros(0, dtype=np.int64)
-        return _Relation(src, dst, None)
+        return np.concatenate(srcs), np.concatenate(dsts), None
 
-    def _concat_triples(self, complexes, attr) -> _Relation:
-        srcs, taus, deltas = [], [], []
+    def _concat_triples(self, complexes, attr):
+        parts = [[_EMPTY], [_EMPTY], [_EMPTY]]
         for off, c in zip(self.offsets, complexes):
-            s, t, d = getattr(c, attr)()
-            srcs.append(s + off)
-            taus.append(t + off)
-            deltas.append(d + off)
-        src = np.concatenate(srcs) if srcs else np.zeros(0, dtype=np.int64)
-        tau = np.concatenate(taus) if taus else np.zeros(0, dtype=np.int64)
-        delta = np.concatenate(deltas) if deltas else np.zeros(0, dtype=np.int64)
-        return _Relation(src, tau, delta)
+            for part, arr in zip(parts, getattr(c, attr)()):
+                part.append(arr + off)
+        return tuple(np.concatenate(part) for part in parts)
 
-    def _build_layout(self):
-        total = self.total
-        # per-member slots: 1 (own color) + per relation (1 count + entries)
-        length = np.ones(total, dtype=np.int64)
-        rel_counts = []
-        for rel in self.relations:
-            cnt = np.bincount(rel.src, minlength=total).astype(np.int64)
-            rel_counts.append(cnt)
-            length += 1 + cnt * rel.width
-        starts = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(length, out=starts[1:])
-        self.byte_starts = (starts[:-1] * 8).tolist()
-        self.byte_ends = (starts[1:] * 8).tolist()
-        flat = np.zeros(starts[-1], dtype=np.int64)
-        self.own_pos = starts[:-1]
-        cursor = starts[:-1] + 1
-        for rel, cnt in zip(self.relations, rel_counts):
-            flat[cursor] = cnt  # static count prefix
-            data_start = cursor + 1
-            if rel.src.size:
-                # entries are grouped by src already (sorted at build time)
-                block = np.repeat(data_start, cnt)
-                intra = np.arange(rel.src.size, dtype=np.int64)
-                seg_first = np.repeat(np.cumsum(cnt) - cnt, cnt)
-                rel.positions = block + (intra - seg_first) * rel.width
-            else:
-                rel.positions = np.zeros(0, dtype=np.int64)
-            cursor = data_start + cnt * rel.width
-        self.flat = flat
-
-    def _fill_signatures(self):
-        colors = self.colors
-        flat = self.flat
-        flat[self.own_pos] = colors
-        for rel in self.relations:
-            if rel.pair_idx is None:
-                vals = colors[rel.values_idx]
-                order = np.lexsort((vals, rel.src))
-                flat[rel.positions] = vals[order]
-            else:
-                tv = colors[rel.values_idx]
-                dv = colors[rel.pair_idx]
-                order = np.lexsort((dv, tv, rel.src))
-                flat[rel.positions] = tv[order]
-                flat[rel.positions + 1] = dv[order]
-        return flat.tobytes()
+    def _build_layout(self, relations):
+        """Static row slots; ``relations`` are (src, ids, witness ids or None)
+        with ``src`` ascending."""
+        counts = [np.bincount(src, minlength=self.total) for src, _, _ in relations]
+        length = 1 + len(relations) + sum(counts)
+        order = np.argsort(length, kind="stable")
+        starts = np.empty(self.total, dtype=np.int64)
+        starts[order] = np.cumsum(length[order]) - length[order]
+        self.flat = np.zeros(int(length.sum()), dtype=np.int64)
+        self.own_pos = starts
+        cursor = starts + 1
+        self.relations = []
+        for (src, ids, witness), cnt in zip(relations, counts):
+            self.flat[cursor] = cnt  # static count prefix
+            first = np.cumsum(cnt) - cnt  # each member's first entry
+            positions = cursor[src] + 1 + np.arange(src.size) - first[src]
+            self.relations.append((src, positions, ids, witness))
+            cursor = cursor + 1 + cnt
+        self.groups = []  # (members, flat start, flat end, row width)
+        lo = m_lo = 0
+        widths, sizes = np.unique(length, return_counts=True)
+        _record(self.digest, np.concatenate([widths, sizes]))
+        for width, size in zip(widths.tolist(), sizes.tolist()):
+            self.groups.append((order[m_lo:m_lo + size], lo, lo + width * size, width))
+            lo += width * size
+            m_lo += size
 
     def step(self) -> int:
         """One refinement round; returns the number of distinct colors after it."""
-        buf = self._fill_signatures()
+        colors, flat = self.colors, self.flat
+        flat[self.own_pos] = colors
+        for src, positions, ids, witness in self.relations:
+            values, width = colors[ids], self.k
+            if witness is not None:
+                # one value per entry: the rank of its (color, witness color)
+                pairs, values = np.unique(
+                    values * self.k + colors[witness], return_inverse=True
+                )
+                width = pairs.size
+                _record(self.digest, pairs)
+            # No int64 product here overflows: an index array of 2**31
+            # entries would need 16 GB, so the member count N, k <= N and the
+            # entry count stay below 2**31, and the pair codes (below k*k) and
+            # the keys (src < N times width <= max(N, entries)) below 2**62.
+            # src ascending keeps each sorted key in its entry's row.
+            base = src * width
+            flat[positions] = np.sort(base + values) - base
         new_colors = np.empty(self.total, dtype=np.int64)
-        dictionary = self.dictionary
-        nxt = self.next_color
-        for i in range(self.total):
-            key = buf[self.byte_starts[i]:self.byte_ends[i]]
-            c = dictionary.get(key)
-            if c is None:
-                c = nxt
-                dictionary[key] = c
-                nxt += 1
-            new_colors[i] = c
-        self.next_color = nxt
-        self.colors = new_colors
+        k = 0
+        for members, lo, hi, width in self.groups:
+            rows = flat[lo:hi].view(np.dtype((np.void, 8 * width)))
+            distinct, inverse = np.unique(rows, return_inverse=True)
+            new_colors[members] = k + inverse
+            k += distinct.size
+            _record(self.digest, distinct)
+        self.colors, self.k = new_colors, k
         self.rounds += 1
-        return len(np.unique(new_colors))
-
-    def step_hashed(self) -> int:
-        """One round with content-determined colors (64-bit signature digests).
-
-        Digest colors make separately refined complexes comparable, at the
-        price of exact injectivity; collisions only merge classes.
-        """
-        buf = self._fill_signatures()
-        new_colors = np.empty(self.total, dtype=np.int64)
-        for i in range(self.total):
-            digest = hashlib.blake2b(
-                buf[self.byte_starts[i]:self.byte_ends[i]], digest_size=8
-            ).digest()
-            new_colors[i] = int.from_bytes(digest, "big") >> 1
-        self.colors = new_colors
-        self.rounds += 1
-        return len(np.unique(new_colors))
+        return k
 
     def run(self, max_rounds: Optional[int]) -> int:
         if max_rounds is None:
             max_rounds = max(self.total, 1)
-        distinct = len(np.unique(self.colors)) if self.total else 0
         while self.rounds < max_rounds:
-            new_distinct = self.step()
-            if new_distinct == distinct:
+            k = self.k
+            if self.step() == k:
                 break
-            distinct = new_distinct
         return self.rounds
 
     def histogram(self, side: int) -> ColorHistogram:
         lo, hi = self.offsets[side], self.offsets[side + 1]
-        segment = self.colors[lo:hi]
-        if segment.size == 0:
-            return ColorHistogram({})
-        values, counts = np.unique(segment, return_counts=True)
+        values, counts = np.unique(self.colors[lo:hi], return_counts=True)
         return ColorHistogram({int(v): int(c) for v, c in zip(values, counts)})
+
+
+def _record(digest, table):
+    """Feed ``table`` to ``digest`` behind its length, so records delimit."""
+    digest.update(np.int64(len(table)).tobytes())
+    digest.update(table.tobytes())
 
 
 def refine_pair(
@@ -244,7 +205,7 @@ def refine_pair(
     """Jointly refine two complexes of the same kind until the partition is stable.
 
     Returns ``(histogram_x, histogram_y, rounds_used)``; the histograms share
-    one color dictionary so they can be compared directly.
+    one round's color ranks so they can be compared directly.
     """
     if x.kind != y.kind:
         raise ValueError(f"complex kinds differ: {x.kind!r} vs {y.kind!r}")
@@ -273,27 +234,19 @@ def refinement_trace(
     return out
 
 
-def stable_fingerprint(c: HigherOrderComplex, rule: str = "reduced"):
+def stable_fingerprint(c: HigherOrderComplex, rule: str = "reduced") -> str:
     """Label-invariant stable-coloring fingerprint of a single complex.
 
-    Colors are content-determined signature digests rather than dictionary
-    ids, so fingerprints of separately refined complexes are comparable:
-    isomorphic complexes always match, and distinct fingerprints prove
-    non-isomorphism.  Equal fingerprints are inconclusive (a digest collision
-    can only merge classes).  Used to bucket graphs without pairwise runs;
-    the pairwise test of record stays :func:`refine_pair`.
+    A 128-bit blake2b hex digest of every round's distinct signatures and
+    pair tables, which fix what each dense color names, and of the stable
+    color counts.  It is exact: two complexes get equal fingerprints iff
+    :func:`refine_pair` does not distinguish them.  Used to bucket graphs
+    without pairwise runs.
     """
-    if c.total == 0:
-        return ()
     engine = _JointRefinement([c], rule)
-    distinct = 1
-    for _ in range(max(c.total, 1)):
-        new_distinct = engine.step_hashed()
-        if new_distinct == distinct:
-            break
-        distinct = new_distinct
-    hist = engine.histogram(0)
-    return tuple(sorted(hist.counts.items()))
+    engine.run(None)
+    engine.digest.update(np.bincount(engine.colors, minlength=engine.k).tobytes())
+    return engine.digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------

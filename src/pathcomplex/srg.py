@@ -460,26 +460,20 @@ def switched_extension(g: SimpleGraph, subset) -> SimpleGraph:
 # ---------------------------------------------------------------------------
 
 
-def dedupe_by_fingerprint(graphs, dim: int = 3, prefilter_dim: int = 2) -> list:
-    """Keep one representative per stable-fingerprint class.
+def dedupe_by_fingerprint(graphs, dim: int = 3) -> list:
+    """Keep the first graph of each stable-fingerprint class, in input order.
 
-    Graphs are bucketed by the cheap low-dimension fingerprint first and only
-    bucket representatives are compared at the target dimension.  The kept
-    graphs are pairwise non-isomorphic; a dropped graph merely matched some
-    keeper's fingerprint.
+    The fingerprint is exact for path refinement at ``dim``, so the kept
+    graphs are pairwise distinguished by it (hence non-isomorphic), and each
+    dropped graph is indistinguishable from an earlier keeper.
     """
-    buckets = {}
-    for g in graphs:
-        key = stable_fingerprint(lift_complex(g, "path", prefilter_dim))
-        buckets.setdefault(key, []).append(g)
     kept = []
     seen = set()
-    for key in sorted(buckets):
-        for g in buckets[key]:
-            full = stable_fingerprint(lift_complex(g, "path", dim))
-            if full not in seen:
-                seen.add(full)
-                kept.append(g)
+    for g in graphs:
+        key = stable_fingerprint(lift_complex(g, "path", dim))
+        if key not in seen:
+            seen.add(key)
+            kept.append(g)
     return kept
 
 

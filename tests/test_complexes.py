@@ -22,6 +22,7 @@ from pathcomplex.graphs import (
     SimpleGraph,
     apply_permutation,
     complete_graph,
+    cycle_graph,
     parse_graph6,
     path_graph,
     random_graph,
@@ -401,6 +402,41 @@ class TestSerialization:
             tail = tail.replace(old, new)
         with pytest.raises(SerializationError, match=message):
             deserialize_complex(head + "boundaries\n" + tail)
+
+    @pytest.mark.parametrize("kind, members, message", [
+        # edges (0,1) and (0,2) only: 0-1-2 is no walk and no clique
+        ("path", [[(0,), (1,), (2,)], [(0, 1), (0, 2)], [(0, 1, 2)]], "not a walk"),
+        ("simplex", [[(0,), (1,), (2,)], [(0, 1), (0, 2)], [(0, 1, 2)]],
+         "not a clique"),
+        # in K4 the 4-cycle 0-1-2-3 has the chords (0,2) and (1,3)
+        ("cell", [[(v,) for v in range(4)], list(itertools.combinations(range(4), 2)),
+                  [(0, 1, 2), (0, 1, 2, 3), (0, 1, 3), (0, 2, 3), (1, 2, 3)]],
+         "not a chordless cycle"),
+    ])
+    def test_carrier_outside_source_graph_rejected(self, kind, members, message):
+        lines = [f"PCX v1 kind={kind} n={len(members[0])} maxdim={len(members) - 1}"]
+        gid = 0
+        for p, ms in enumerate(members):
+            lines.append(f"dim {p} count {len(ms)}")
+            for carrier in ms:
+                lines.append(f"{gid}: " + " ".join(map(str, carrier)))
+                gid += 1
+        lines.append("boundaries")
+        lines.extend(f"{i}:" for i in range(gid))
+        with pytest.raises(SerializationError, match=message):
+            deserialize_complex("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("complex_, old, new", [
+        (lift_path_complex(path_graph(3), 1), "3: 0 1\n", "3: \n"),  # empty
+        (lift_path_complex(path_graph(4), 2), "7: 4 5\n", "7: 4\n"),  # end (1,2)
+        (lift_clique_complex(complete_graph(3), 2), "6: 3 4 5\n", "6: 3 4\n"),
+        (lift_ring_complex(cycle_graph(4), 4), "8: 4 5 6 7\n", "8: 4 5 6\n"),
+    ])
+    def test_boundary_missing_a_face_rejected(self, complex_, old, new):
+        head, _, tail = serialize_complex(complex_).partition("boundaries\n")
+        assert old in tail
+        with pytest.raises(SerializationError, match="lacks"):
+            deserialize_complex(head + "boundaries\n" + tail.replace(old, new))
 
     def test_upper_adjacency_survives_roundtrip(self):
         c = lift_path_complex(FIG3B, 3)

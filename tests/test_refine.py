@@ -35,6 +35,54 @@ C6 = cycle_graph(6)
 TWO_K3 = disjoint_union(complete_graph(3), complete_graph(3))
 
 
+def reference_trace(x, y, rounds, rule):
+    """Colors of rounds 0..rounds from signature tuples relabelled by a dict.
+
+    The pure-Python round the engine's dense ranks replace: boundary,
+    co-boundary and adjacency pairs are derived from ``boundary_of`` alone.
+    """
+    boundary = [
+        [off + int(b) for b in c.boundary_of(g)]
+        for off, c in ((0, x), (x.total, y))
+        for g in range(c.total)
+    ]
+    coboundary = [[] for _ in boundary]
+    for d, row in enumerate(boundary):
+        for b in row:
+            coboundary[b].append(d)
+    upper = [[(t, d) for d in coboundary[s] for t in boundary[d] if t != s]
+             for s in range(len(boundary))]
+    lower = [[(t, b) for b in boundary[s] for t in coboundary[b] if t != s]
+             for s in range(len(boundary))]
+    colors = [0] * len(boundary)
+    out = [colors]
+    for _ in range(rounds):
+        def signature(i):
+            sig = (
+                colors[i],
+                tuple(sorted(colors[b] for b in boundary[i])),
+                tuple(sorted((colors[t], colors[d]) for t, d in upper[i])),
+            )
+            if rule == "full":
+                sig += (
+                    tuple(sorted(colors[d] for d in coboundary[i])),
+                    tuple(sorted((colors[t], colors[b]) for t, b in lower[i])),
+                )
+            return sig
+
+        table = {}
+        colors = [table.setdefault(signature(i), len(table))
+                  for i in range(len(boundary))]
+        out.append(colors)
+    return out
+
+
+def same_partition(a, b):
+    """True iff the color arrays ``a`` and ``b`` agree up to renaming."""
+    pairs = set(zip(map(int, a), map(int, b)))
+    return len(pairs) == len(set(map(int, a))) == len(set(map(int, b)))
+
+
 def multiset(values):
     out = {}
     for v in values:
@@ -122,6 +170,30 @@ class TestInvariants:
                 for rule in ("reduced", "full"):
                     ha, hb, _ = refine_pair(lift(g), lift(h), rule=rule)
                     assert ha == hb
+
+    def test_trace_matches_dictionary_reference(self):
+        rng = np.random.default_rng(29)
+        lifts = (
+            lambda g: lift_path_complex(g, 3),
+            lambda g: lift_clique_complex(g, 3),
+            lambda g: lift_ring_complex(g, 5),
+        )
+        for trial in range(24):
+            n = int(rng.integers(3, 10))
+            g = random_graph(n, float(rng.uniform(0.3, 0.8)), rng)
+            if trial % 3 == 0:
+                h = apply_permutation(g, random_permutation(n, rng))
+            else:
+                h = random_graph(n, float(rng.uniform(0.3, 0.8)), rng)
+            for lift in lifts:
+                a, b = lift(g), lift(h)
+                for rule in ("reduced", "full"):
+                    # past the stable round too: a wrong round can stall early
+                    rounds = refine_pair(a, b, rule=rule)[2] + 4
+                    got = refinement_trace(a, b, rounds, rule=rule)
+                    want = reference_trace(a, b, rounds, rule)
+                    for t, (cg, cw) in enumerate(zip(got, want)):
+                        assert same_partition(cg, cw), (trial, rule, t)
 
     def test_boundary_size_proposition_after_round_one(self):
         rng = np.random.default_rng(11)
@@ -251,6 +323,39 @@ class TestFingerprint:
         assert stable_fingerprint(lift_path_complex(C6, 2)) != stable_fingerprint(
             lift_path_complex(TWO_K3, 2)
         )
+
+    def test_exact_against_refine_pair(self, srg_specs):
+        from pathcomplex.bench import load_family
+
+        def check(a, b, rule, prints):
+            separated = distinguishes(*refine_pair(a, b, rule=rule)[:2])
+            assert (prints[id(a)] != prints[id(b)]) == separated
+            return separated
+
+        outcomes = set()
+        for name in ("SR(16,6,2,2)", "SR(25,12,5,6)", "SR(26,10,3,4)",
+                     "SR(28,12,6,4)"):
+            graphs = load_family(srg_specs[name])
+            for dim in (1, 2, 3):
+                lifted = [lift_path_complex(g, dim) for g in graphs]
+                prints = {id(c): stable_fingerprint(c) for c in lifted}
+                for a, b in itertools.combinations(lifted, 2):
+                    outcomes.add(check(a, b, "reduced", prints))
+        rng = np.random.default_rng(37)
+        for trial in range(60):
+            n = int(rng.integers(1, 9))
+            g = random_graph(n, float(rng.uniform(0.2, 0.8)), rng)
+            if trial % 3 == 0:
+                h = apply_permutation(g, random_permutation(n, rng))
+            else:
+                h = random_graph(n, float(rng.uniform(0.2, 0.8)), rng)
+            for lift, param in ((lift_path_complex, 3), (lift_clique_complex, 3),
+                                (lift_ring_complex, 5)):
+                pair = (lift(g, param), lift(h, param))
+                for rule in ("reduced", "full"):
+                    prints = {id(c): stable_fingerprint(c, rule) for c in pair}
+                    outcomes.add(check(*pair, rule, prints))
+        assert outcomes == {True, False}
 
 
 class TestPowerOrder:

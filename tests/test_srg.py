@@ -5,7 +5,13 @@ import pytest
 
 from pathcomplex.bench import load_family
 from pathcomplex.complexes import lift_path_complex
-from pathcomplex.graphs import apply_permutation, random_permutation
+from pathcomplex.graphs import (
+    apply_permutation,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_permutation,
+)
 from pathcomplex.refine import stable_fingerprint
 from pathcomplex.srg import (
     chang_graphs,
@@ -91,6 +97,25 @@ class TestDedupe:
     def test_distinct_graphs_survive(self):
         kept = dedupe_by_fingerprint([rook_graph_4x4(), shrikhande_graph()], dim=3)
         assert len(kept) == 2
+
+    def test_keeps_first_occurrence_order(self):
+        rng = np.random.default_rng(4)
+        graphs = [complete_graph(4), cycle_graph(5), rook_graph_4x4(), path_graph(5),
+                  shrikhande_graph(), cycle_graph(4)]
+        graphs += [apply_permutation(g, random_permutation(g.n, rng)) for g in graphs]
+        assert dedupe_by_fingerprint(graphs, dim=3) == graphs[:6]
+
+    def test_constructions_dedupe_to_committed_files(self, srg_specs):
+        blocks = [
+            steiner_block_graph(steiner_triple_system_15(v))
+            for v in ("projective", "cyclic", "doubled", "doubled-swapped")
+        ]
+        for name, graphs in (
+            ("SR(16,6,2,2)", [rook_graph_4x4(), shrikhande_graph()]),
+            ("SR(28,12,6,4)", [triangular_graph(8)] + chang_graphs()),
+            ("SR(35,18,9,9)", blocks),
+        ):
+            assert dedupe_by_fingerprint(graphs, dim=3) == load_family(srg_specs[name])
 
 
 class TestCorpusData:
