@@ -128,6 +128,7 @@ class HigherOrderComplex:
         self._coboundary_csr = None
         self._upper_flat = None
         self._lower_flat = None
+        self._stable_colors = None  # filled by refine.stable_colors
 
     # -- lookups ---------------------------------------------------------
 

@@ -8,21 +8,42 @@ updates through a dense layer on the concatenation.  Embeddings are read out
 by per-dimension sum pooling, a dense layer per dimension, summation across
 dimensions, and a two-layer projection.
 
+The layers run on stable color classes, not on every member.
+``init_features`` is constant on the stable reduced-rule classes of a
+complex, and each layer reads exactly the reduced refinement signature (own
+feature, boundary multiset, (neighbor, witness) pairs), so by induction
+every layer's features are constant on (dimension, stable color) classes;
+this is the argument behind "PCN is at most as expressive as PWL" (compare
+Morris et al., "Weisfeiler and Leman go neural", and Grohe et al.,
+"Dimension reduction via colour refinement").  ``forward`` therefore runs
+each layer on one representative per class, with the representative's
+boundary row and upper triples remapped to class ids, and sum-pools with
+the class sizes.  The stable coloring comes from
+:func:`pathcomplex.refine.stable_colors`: built on the first forward that
+runs a layer, cached on the complex, and also filled by a reduced-rule
+``refine_pair`` run to stability or ``stable_fingerprint``.  Low-symmetry
+complexes, whose classes are about as many as their members, gain nothing
+and pay for the partition once.
+
 Weights are drawn once from a seeded PCG64 generator, uniform on
 ``[-sqrt(1/fan_in), +sqrt(1/fan_in)]``, in a fixed (layer, dimension, block)
-order, so a seed fully determines the network on every platform.  All
-aggregations run in ascending member-id order; repeated runs are
-bit-identical.
+order, so a seed fully determines the network on every platform.  Classes
+are numbered by their lowest member id and every aggregation runs in
+ascending id order, so repeated runs are bit-identical whichever call
+filled the coloring cache.  Embeddings agree with a forward over every
+member within 1e-12 relative; they are not bitwise equal to it, because
+the class-level sums are reassociated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .complexes import HigherOrderComplex
+from .refine import stable_colors
 
 __all__ = [
     "NetworkParams",
@@ -122,34 +143,72 @@ class FeatureState:
 
 def init_features(c: HigherOrderComplex, hidden_dim: int = 16) -> FeatureState:
     """Populate features bottom-up: ones at dimension 0, then the sum of
-    boundary features at each higher dimension."""
+    boundary features at each higher dimension.  Every column is the same,
+    so one is summed and repeated."""
     counts = c.counts()
-    values = [np.ones((counts[0], hidden_dim), dtype=np.float64)]
+    column = np.ones(counts[0])
+    values = [np.ones((counts[0], hidden_dim))]
     for p in range(1, c.max_dim + 1):
-        src, dst = _dim_boundary(c, p)
-        values.append(_segment_sum(values[p - 1][dst], src, counts[p]))
+        src, faces = _boundary_rows(c, np.arange(*c.dim_offsets[p:p + 2]))
+        # the cast matters only for an empty dimension, whose bincount is int
+        column = np.bincount(src, weights=column[faces - c.dim_offsets[p - 1]],
+                             minlength=counts[p]).astype(np.float64, copy=False)
+        values.append(np.repeat(column[:, None], hidden_dim, axis=1))
     return FeatureState(values)
 
 
-def _dim_boundary(c: HigherOrderComplex, p: int):
-    """Boundary entries of dimension p with local (src, dst) indices."""
+def _ranges(starts: np.ndarray, ends: np.ndarray):
+    """(row, position) of every entry of the ranges ``[starts[i], ends[i])``."""
+    lens = ends - starts
+    row = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
+    pos = np.arange(int(lens.sum()), dtype=np.int64)
+    pos += np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return row, pos
+
+
+def _boundary_rows(c: HigherOrderComplex, members: np.ndarray):
+    """Boundary entries of ``members`` as (row in ``members``, face id)."""
     indptr, indices = c.boundary_csr()
-    lo, hi = c.dim_offsets[p], c.dim_offsets[p + 1]
-    lens = np.diff(indptr[lo:hi + 1])
-    src = np.repeat(np.arange(hi - lo, dtype=np.int64), lens)
-    dst = indices[indptr[lo]:indptr[hi]] - c.dim_offsets[p - 1]
-    return src, dst
+    row, pos = _ranges(indptr[members], indptr[members + 1])
+    return row, indices[pos]
 
 
-def _dim_upper(c: HigherOrderComplex, p: int):
-    """Upper-adjacency triples of dimension p with local indices."""
-    src_all, tau_all, delta_all = c.upper_adjacency()
-    lo, hi = c.dim_offsets[p], c.dim_offsets[p + 1]
-    i0, i1 = np.searchsorted(src_all, (lo, hi))
-    src = src_all[i0:i1] - lo
-    tau = tau_all[i0:i1] - lo
-    delta = delta_all[i0:i1] - c.dim_offsets[p + 1]
-    return src, tau, delta
+class _Classes(NamedTuple):
+    """One dimension of a complex at the level of its stable classes.
+
+    Ids are local to their dimension; ``boundary`` and ``upper`` are the
+    representatives' entries in member-level order.
+    """
+
+    member_class: np.ndarray  # each member's class
+    rep: np.ndarray  # each class's representative, its lowest member
+    sizes: np.ndarray  # members per class
+    boundary: tuple  # (class, face class)
+    upper: tuple  # (class, neighbor class, witness class)
+
+
+def _class_incidence(c: HigherOrderComplex) -> list:
+    """The :class:`_Classes` of every dimension of ``c``."""
+    colors = stable_colors(c)
+    # classes are numbered by lowest member, so the running maximum of the
+    # colors steps up exactly at each representative
+    reps = np.flatnonzero(np.diff(np.maximum.accumulate(colors), prepend=-1))
+    sizes = np.bincount(colors)
+    first = np.searchsorted(reps, c.dim_offsets)  # each dimension's first class
+    up_src, up_tau, up_delta = c.upper_adjacency()
+    out = []
+    for p in range(c.max_dim + 1):
+        lo, hi = c.dim_offsets[p], c.dim_offsets[p + 1]
+        rep = reps[first[p]:first[p + 1]]
+        src, faces = _boundary_rows(c, rep)
+        boundary = (src, colors[faces] - first[p - 1])  # empty at p = 0
+        src, pos = _ranges(np.searchsorted(up_src, rep, "left"),
+                           np.searchsorted(up_src, rep, "right"))
+        upper = (src, colors[up_tau[pos]] - first[p],
+                 colors[up_delta[pos]] - first[p + 1])
+        out.append(_Classes(colors[lo:hi] - first[p], rep - lo,
+                            sizes[first[p]:first[p + 1]], boundary, upper))
+    return out
 
 
 def _segment_sum(values: np.ndarray, src: np.ndarray, n_out: int) -> np.ndarray:
@@ -165,7 +224,14 @@ def forward(
     feats: FeatureState,
     params: NetworkParams,
 ) -> np.ndarray:
-    """Run the message-passing layers and read out one embedding vector."""
+    """Run the message-passing layers and read out one embedding vector.
+
+    The layers run on one representative per stable reduced-rule class of
+    ``c``, so ``feats`` must be constant on those classes, as
+    :func:`init_features` is; a ``ValueError`` says where it is not.  The
+    first call that runs a layer builds the stable coloring and caches it
+    on ``c``.
+    """
     d = params.hidden_dim
     if c.max_dim != params.max_dim:
         raise ValueError(
@@ -178,29 +244,37 @@ def forward(
                 f"feature block at dimension {p} has shape {block.shape}, "
                 f"expected ({len(c.members_by_dim[p])}, {d})"
             )
-    counts = c.counts()
-    bnd = {p: _dim_boundary(c, p) for p in range(1, c.max_dim + 1)}
-    upp = {p: _dim_upper(c, p) for p in range(c.max_dim + 1)}
+    if params.layers == 0:
+        return _readout([(len(block), block.sum(axis=0)) for block in h], params)
+    classes = _class_incidence(c)
+    for p, cls in enumerate(classes):
+        if not np.array_equal(h[p][cls.rep][cls.member_class], h[p]):
+            raise ValueError(
+                f"features at dimension {p} are not constant on the stable "
+                "color classes"
+            )
+        h[p] = h[p][cls.rep]
     for t in range(params.layers):
         new_h = []
-        for p in range(c.max_dim + 1):
-            if counts[p] == 0:
+        for p, cls in enumerate(classes):
+            k = cls.rep.size
+            if k == 0:
                 new_h.append(h[p])
                 continue
             blocks = params.layer_weights[t][p]
-            agg_b = np.zeros((counts[p], d))
+            agg_b = np.zeros((k, d))
             if p >= 1:
-                src, dst = bnd[p]
-                agg_b = _segment_sum(h[p - 1][dst], src, counts[p])
+                src, dst = cls.boundary
+                agg_b = _segment_sum(h[p - 1][dst], src, k)
             m_b = _elu(_dense(h[p] + agg_b, blocks["boundary"]))
-            src, tau, delta = upp[p]
-            agg_u = np.zeros((counts[p], d))
+            src, tau, delta = cls.upper
+            agg_u = np.zeros((k, d))
             if src.size:
                 # the dense layer on [neighbor, witness], split by weight rows
                 # so no (triples, 2d) pair array is built
                 w, b = blocks["message"]
                 msgs = _elu((h[p] @ w[:d])[tau] + (h[p + 1] @ w[d:])[delta] + b)
-                agg_u = _segment_sum(msgs, src, counts[p])
+                agg_u = _segment_sum(msgs, src, k)
             m_u = _elu(_dense(h[p] + agg_u, blocks["upper"]))
             out = _elu(_dense(np.concatenate([m_b, m_u], axis=1),
                               blocks["update"]))
@@ -210,12 +284,21 @@ def forward(
                 )
             new_h.append(out)
         h = new_h
-    pooled = np.zeros(d)
-    for p in range(c.max_dim + 1):
-        if counts[p] == 0:
-            continue
-        dim_repr = _elu(_dense(h[p].sum(axis=0), params.pool_dense[p]))
-        pooled = pooled + dim_repr
+    return _readout(
+        [(len(block), cls.sizes.astype(np.float64) @ block)
+         for cls, block in zip(classes, h)],
+        params,
+    )
+
+
+def _readout(pooled_by_dim: list, params: NetworkParams) -> np.ndarray:
+    """Per-dimension dense layer on the sum-pooled features, given as
+    (row count, sum) per dimension, summed over the non-empty dimensions,
+    then the two-layer projection."""
+    pooled = np.zeros(params.hidden_dim)
+    for p, (count, total) in enumerate(pooled_by_dim):
+        if count:
+            pooled = pooled + _elu(_dense(total, params.pool_dense[p]))
     hidden = _elu(_dense(pooled, params.projection[0]))
     embedding = _dense(hidden, params.projection[1])
     if not np.all(np.isfinite(embedding)):

@@ -18,6 +18,10 @@ comparable; a complex refined alone gets an exact fingerprint from the
 distinct signatures of every round.  Each round is a handful of numpy sorts
 over flat arrays, with no per-member Python work, and results do not
 depend on thread count.
+
+Each complex caches its stable reduced-rule coloring
+(:func:`stable_colors`), which the network's class-level forward reads; a
+reduced-rule run to stability fills it.
 """
 
 from __future__ import annotations
@@ -38,12 +42,11 @@ __all__ = [
     "wl1_refine_pair",
     "distinguishes",
     "stable_fingerprint",
+    "stable_colors",
     "PairPowerResult",
     "PowerOrderReport",
     "power_order_check",
 ]
-
-_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -99,22 +102,23 @@ class _JointRefinement:
         self.colors = np.zeros(self.total, dtype=np.int64)
         self.k = 1 if self.total else 0  # number of distinct colors
         self.rounds = 0
+        self.stable = False  # set once a round leaves the partition unchanged
 
     def _concat_csr(self, complexes, attr):
-        srcs, dsts = [_EMPTY], [_EMPTY]
+        srcs, dsts = [], []
         for off, c in zip(self.offsets, complexes):
             indptr, indices = getattr(c, attr)()
             lens = np.diff(indptr)
-            srcs.append(np.repeat(np.arange(c.total, dtype=np.int64), lens) + off)
-            dsts.append(indices + off)
-        return np.concatenate(srcs), np.concatenate(dsts), None
+            srcs.append(np.repeat(np.arange(off, off + c.total, dtype=np.int64), lens))
+            dsts.append(indices + off if off else indices)
+        return _join(srcs), _join(dsts), None
 
     def _concat_triples(self, complexes, attr):
-        parts = [[_EMPTY], [_EMPTY], [_EMPTY]]
+        parts = [[], [], []]
         for off, c in zip(self.offsets, complexes):
             for part, arr in zip(parts, getattr(c, attr)()):
-                part.append(arr + off)
-        return tuple(np.concatenate(part) for part in parts)
+                part.append(arr + off if off else arr)
+        return tuple(_join(part) for part in parts)
 
     def _build_layout(self, relations):
         """Static row slots; ``relations`` are (src, ids, witness ids or None)
@@ -181,6 +185,7 @@ class _JointRefinement:
         while self.rounds < max_rounds:
             k = self.k
             if self.step() == k:
+                self.stable = True
                 break
         return self.rounds
 
@@ -188,6 +193,11 @@ class _JointRefinement:
         lo, hi = self.offsets[side], self.offsets[side + 1]
         values, counts = np.unique(self.colors[lo:hi], return_counts=True)
         return ColorHistogram({int(v): int(c) for v, c in zip(values, counts)})
+
+
+def _join(parts):
+    """One array from per-complex parts; a single part is used as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _record(digest, table):
@@ -211,6 +221,12 @@ def refine_pair(
         raise ValueError(f"complex kinds differ: {x.kind!r} vs {y.kind!r}")
     engine = _JointRefinement([x, y], rule)
     rounds = engine.run(max_rounds)
+    if rule == "reduced" and engine.stable:
+        # refinement is local, so each side's slice of the joint stable
+        # coloring is that complex's own stable partition
+        for side, c in enumerate((x, y)):
+            lo, hi = engine.offsets[side], engine.offsets[side + 1]
+            _keep_stable(c, engine.colors[lo:hi], engine.k)
     return engine.histogram(0), engine.histogram(1), rounds
 
 
@@ -245,8 +261,46 @@ def stable_fingerprint(c: HigherOrderComplex, rule: str = "reduced") -> str:
     """
     engine = _JointRefinement([c], rule)
     engine.run(None)
+    if rule == "reduced":
+        _keep_stable(c, engine.colors, engine.k)
     engine.digest.update(np.bincount(engine.colors, minlength=engine.k).tobytes())
     return engine.digest.hexdigest()
+
+
+def stable_colors(c: HigherOrderComplex) -> np.ndarray:
+    """Stable reduced-rule color class of every member, cached on the complex.
+
+    Classes are split by dimension and numbered in order of their lowest
+    member id, so the array is the same whichever run filled the cache: this
+    function, :func:`refine_pair` run to stability under the reduced rule, or
+    :func:`stable_fingerprint` under the reduced rule.  The array is shared
+    and read-only.
+    """
+    if c._stable_colors is None:
+        engine = _JointRefinement([c], "reduced")
+        engine.run(None)
+        _keep_stable(c, engine.colors, engine.k)
+    return c._stable_colors
+
+
+def _keep_stable(c: HigherOrderComplex, colors: np.ndarray, k: int) -> None:
+    """Cache ``colors`` (below ``k``), a stable reduced-rule coloring of
+    ``c``'s members, in the canonical numbering of :func:`stable_colors`.
+
+    Runs in threads may fill one complex at once; the numbering makes every
+    fill store an equal array, so which write lands does not matter.
+    """
+    if c._stable_colors is not None:
+        return
+    dims = np.repeat(np.arange(c.max_dim + 1, dtype=np.int64), c.counts())
+    key = dims * k + colors  # so no class spans two dimensions
+    ids = np.arange(c.total, dtype=np.int64)
+    first = np.full((c.max_dim + 1) * k, c.total, dtype=np.int64)
+    np.minimum.at(first, key, ids)
+    first = first[key]  # each member's lowest class mate
+    colors = (np.cumsum(first == ids) - 1)[first]
+    colors.flags.writeable = False
+    c._stable_colors = colors
 
 
 # ---------------------------------------------------------------------------

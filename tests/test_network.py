@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pathcomplex.bench import load_family
 from pathcomplex.complexes import lift_path_complex, lift_ring_complex
 from pathcomplex.graphs import (
     apply_permutation,
@@ -14,12 +15,79 @@ from pathcomplex.graphs import (
     random_permutation,
 )
 from pathcomplex.network import (
+    FeatureState,
     NetworkParams,
     embedding_distance,
     forward,
     init_features,
 )
-from pathcomplex.refine import distinguishes, refine_pair
+from pathcomplex.refine import (
+    distinguishes,
+    refine_pair,
+    stable_colors,
+    stable_fingerprint,
+)
+
+
+def reference_forward(c, feats, params):
+    """The member-level forward: every layer runs on every member.
+
+    The oracle for :func:`forward`, which runs the same layers on one
+    representative per stable color class.
+    """
+
+    def elu(x):
+        return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+
+    def dense(x, wb):
+        return x @ wb[0] + wb[1]
+
+    def segment_sum(values, src, n_out):
+        out = np.zeros((n_out, values.shape[1]))
+        for j in range(values.shape[1]):
+            out[:, j] = np.bincount(src, weights=values[:, j], minlength=n_out)
+        return out
+
+    d, offs, counts = params.hidden_dim, c.dim_offsets, c.counts()
+    indptr, indices = c.boundary_csr()
+    up_src, up_tau, up_delta = c.upper_adjacency()
+    bnd, upp = {}, {}
+    for p in range(c.max_dim + 1):
+        lo, hi = offs[p], offs[p + 1]
+        if p >= 1:
+            src = np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1]))
+            bnd[p] = (src, indices[indptr[lo]:indptr[hi]] - offs[p - 1])
+        i0, i1 = np.searchsorted(up_src, (lo, hi))
+        upp[p] = (up_src[i0:i1] - lo, up_tau[i0:i1] - lo,
+                  up_delta[i0:i1] - offs[p + 1])
+    h = [np.asarray(v, dtype=np.float64) for v in feats.values]
+    for t in range(params.layers):
+        new_h = []
+        for p in range(c.max_dim + 1):
+            if counts[p] == 0:
+                new_h.append(h[p])
+                continue
+            blocks = params.layer_weights[t][p]
+            agg_b = np.zeros((counts[p], d))
+            if p >= 1:
+                src, dst = bnd[p]
+                agg_b = segment_sum(h[p - 1][dst], src, counts[p])
+            m_b = elu(dense(h[p] + agg_b, blocks["boundary"]))
+            src, tau, delta = upp[p]
+            agg_u = np.zeros((counts[p], d))
+            if src.size:
+                w, b = blocks["message"]
+                msgs = elu((h[p] @ w[:d])[tau] + (h[p + 1] @ w[d:])[delta] + b)
+                agg_u = segment_sum(msgs, src, counts[p])
+            m_u = elu(dense(h[p] + agg_u, blocks["upper"]))
+            new_h.append(elu(dense(np.concatenate([m_b, m_u], axis=1),
+                                   blocks["update"])))
+        h = new_h
+    pooled = np.zeros(d)
+    for p in range(c.max_dim + 1):
+        if counts[p]:
+            pooled = pooled + elu(dense(h[p].sum(axis=0), params.pool_dense[p]))
+    return dense(elu(dense(pooled, params.projection[0])), params.projection[1])
 
 
 class TestInitFeatures:
@@ -142,6 +210,84 @@ class TestForward:
         params = NetworkParams.create(seed=6, layers=6, max_dim=3)
         e = forward(c, init_features(c), params)
         assert np.all(np.isfinite(e))
+
+
+class TestClassLevelForward:
+    """``forward`` runs on stable color classes; the member-level reference
+    is its oracle."""
+
+    @staticmethod
+    def complexes(srg_specs):
+        rng = np.random.default_rng(2024)
+        out = []
+        for n in (4, 6, 8, 10, 12):
+            for _ in range(3):
+                g = random_graph(n, float(rng.uniform(0.3, 0.7)), rng)
+                for dim in (1, 2, 3):
+                    for mode in ("incidence", "truncation"):
+                        out.append(lift_path_complex(g, dim, boundary_mode=mode))
+                out.append(lift_ring_complex(g, 5))
+        out += [lift_path_complex(cycle_graph(8), 3),
+                lift_ring_complex(complete_graph(5), 4)]
+        for name in ("SR(16,6,2,2)", "SR(26,10,3,4)"):
+            out += [lift_path_complex(g, 3)
+                    for g in load_family(srg_specs[name])[:2]]
+        return out
+
+    def test_matches_member_level_reference(self, srg_specs):
+        worst, collapsed = 0.0, 0
+        for i, c in enumerate(self.complexes(srg_specs)):
+            params = NetworkParams.create(seed=i, layers=3, max_dim=c.max_dim)
+            feats = init_features(c)
+            got = forward(c, feats, params)
+            want = reference_forward(c, feats, params)
+            rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+            worst = max(worst, rel)
+            collapsed += int(stable_colors(c).max()) + 1 < c.total
+        assert worst <= 1e-12, worst
+        assert collapsed >= 20  # most inputs have multi-member classes
+
+    def test_bitwise_whichever_call_filled_the_cache(self, srg_specs):
+        g, h = load_family(srg_specs["SR(16,6,2,2)"])[:2]
+        params = NetworkParams.create(seed=8, layers=4, max_dim=3)
+
+        def filled(how):
+            c = lift_path_complex(g, 3)
+            if how == "refine_pair":
+                refine_pair(c, lift_path_complex(h, 3))
+            elif how == "stable_fingerprint":
+                stable_fingerprint(c)
+            else:
+                stable_colors(c)
+            assert c._stable_colors is not None
+            return c
+
+        runs = [filled(how) for how in ("stable_colors", "refine_pair",
+                                        "stable_fingerprint")]
+        for c in runs[1:]:
+            assert np.array_equal(stable_colors(c), stable_colors(runs[0]))
+        embeddings = [forward(c, init_features(c), params) for c in runs]
+        embeddings.append(forward(runs[0], init_features(runs[0]), params))
+        for e in embeddings[1:]:
+            assert np.array_equal(e, embeddings[0])
+
+    def test_colors_built_on_first_forward_with_a_layer(self):
+        c = lift_path_complex(cycle_graph(6), 3)
+        forward(c, init_features(c), NetworkParams.create(0, layers=0, max_dim=3))
+        assert c._stable_colors is None
+        forward(c, init_features(c), NetworkParams.create(0, layers=1, max_dim=3))
+        assert c._stable_colors is not None
+
+    def test_features_not_constant_on_classes_rejected(self):
+        c = lift_path_complex(cycle_graph(6), 3)
+        colors = stable_colors(c)
+        member = int(np.flatnonzero(colors == colors[c.dim_offsets[2]])[1])
+        feats = init_features(c)
+        values = [v.copy() for v in feats.values]
+        values[2][member - c.dim_offsets[2], 0] += 1.0
+        params = NetworkParams.create(seed=2, layers=2, max_dim=3)
+        with pytest.raises(ValueError, match="not constant"):
+            forward(c, FeatureState(values), params)
 
 
 class TestDistance:

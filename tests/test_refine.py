@@ -27,6 +27,7 @@ from pathcomplex.refine import (
     power_order_check,
     refine_pair,
     refinement_trace,
+    stable_colors,
     stable_fingerprint,
     wl1_refine_pair,
 )
@@ -356,6 +357,81 @@ class TestFingerprint:
                     prints = {id(c): stable_fingerprint(c, rule) for c in pair}
                     outcomes.add(check(*pair, rule, prints))
         assert outcomes == {True, False}
+
+
+class TestStableColorCache:
+    """``refine_pair`` run to stability under the reduced rule caches each
+    side's slice of the joint coloring as that complex's stable colors."""
+
+    LIFTS = (
+        lambda g: lift_path_complex(g, 3),
+        lambda g: lift_path_complex(g, 3, boundary_mode="truncation"),
+        lambda g: lift_path_complex(g, 1),
+        lambda g: lift_clique_complex(g, 3),
+        lambda g: lift_ring_complex(g, 5),
+    )
+
+    @staticmethod
+    def assert_fills_own_colors(lift, g, h, own=None):
+        """``own`` maps a graph to the colors of a fresh lift of it alone."""
+        own = own or (lambda source: stable_colors(lift(source)))
+        a, b = lift(g), lift(h)
+        refine_pair(a, b)
+        for c, source in ((a, g), (b, h)):
+            assert c._stable_colors is not None
+            assert np.array_equal(c._stable_colors, own(source))
+
+    def test_refine_pair_fill_equals_own_partition(self, srg_specs):
+        from pathcomplex.bench import load_family
+
+        rng = np.random.default_rng(53)
+        for trial in range(30):
+            n = int(rng.integers(1, 10))
+            g = random_graph(n, float(rng.uniform(0.2, 0.8)), rng)
+            if trial % 3 == 0:
+                h = apply_permutation(g, random_permutation(n, rng))
+            else:
+                h = random_graph(int(rng.integers(1, 10)),
+                                 float(rng.uniform(0.2, 0.8)), rng)
+            for lift in self.LIFTS:
+                self.assert_fills_own_colors(lift, g, h)
+        self.assert_fills_own_colors(self.LIFTS[0], C6, TWO_K3)
+        for name in ("SR(16,6,2,2)", "SR(25,12,5,6)", "SR(26,10,3,4)"):
+            graphs = load_family(srg_specs[name])[:3]
+            own = {id(g): stable_colors(self.LIFTS[0](g)) for g in graphs}
+            for g, h in itertools.combinations(graphs, 2):
+                self.assert_fills_own_colors(self.LIFTS[0], g, h,
+                                             lambda source: own[id(source)])
+
+    def test_classes_numbered_by_lowest_member(self):
+        c = lift_path_complex(random_graph(9, 0.5, np.random.default_rng(5)), 3)
+        colors = stable_colors(c)
+        _, first = np.unique(colors, return_index=True)
+        assert np.array_equal(np.sort(first), first)
+        assert colors[0] == 0 and colors.max() + 1 == first.size
+        for p in range(c.max_dim + 1):  # no class spans two dimensions
+            inside = set(colors[c.dim_range(p)].tolist())
+            outside = set(np.delete(colors, c.dim_range(p)).tolist())
+            assert not inside & outside
+
+    def test_full_rule_and_cut_short_runs_leave_cache_empty(self):
+        a, b = lift_path_complex(C6, 3), lift_path_complex(TWO_K3, 3)
+        refine_pair(a, b, rule="full")
+        stable_fingerprint(a, "full")
+        _, _, rounds = refine_pair(a, b, max_rounds=1)
+        assert rounds == 1
+        assert a._stable_colors is None and b._stable_colors is None
+        _, _, needed = refine_pair(a, b)
+        a2, b2 = lift_path_complex(C6, 3), lift_path_complex(TWO_K3, 3)
+        refine_pair(a2, b2, max_rounds=needed - 1)
+        assert a2._stable_colors is None
+        refine_pair(a2, b2, max_rounds=needed)
+        assert np.array_equal(a2._stable_colors, stable_colors(a))
+
+    def test_fingerprint_fills_the_cache(self):
+        c = lift_path_complex(C6, 3)
+        stable_fingerprint(c)
+        assert np.array_equal(c._stable_colors, stable_colors(lift_path_complex(C6, 3)))
 
 
 class TestPowerOrder:
