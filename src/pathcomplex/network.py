@@ -23,7 +23,8 @@ the class sizes.  The stable coloring comes from
 runs a layer, cached on the complex, and also filled by a reduced-rule
 ``refine_pair`` run to stability or ``stable_fingerprint``.  Low-symmetry
 complexes, whose classes are about as many as their members, gain nothing
-and pay for the partition once.
+and pay for the partition once, unless such a run already filled it.  A
+zero-layer forward builds no partition: it pools the features it is given.
 
 Weights are drawn once from a seeded PCG64 generator, uniform on
 ``[-sqrt(1/fan_in), +sqrt(1/fan_in)]``, in a fixed (layer, dimension, block)
@@ -190,10 +191,7 @@ class _Classes(NamedTuple):
 def _class_incidence(c: HigherOrderComplex) -> list:
     """The :class:`_Classes` of every dimension of ``c``."""
     colors = stable_colors(c)
-    # classes are numbered by lowest member, so the running maximum of the
-    # colors steps up exactly at each representative
-    reps = np.flatnonzero(np.diff(np.maximum.accumulate(colors), prepend=-1))
-    sizes = np.bincount(colors)
+    _, reps, sizes = np.unique(colors, return_index=True, return_counts=True)
     first = np.searchsorted(reps, c.dim_offsets)  # each dimension's first class
     up_src, up_tau, up_delta = c.upper_adjacency()
     out = []
@@ -245,7 +243,8 @@ def forward(
                 f"expected ({len(c.members_by_dim[p])}, {d})"
             )
     if params.layers == 0:
-        return _readout([(len(block), block.sum(axis=0)) for block in h], params)
+        # nothing to propagate, so no classes are needed
+        return _readout(c, [block.sum(axis=0) for block in h], params)
     classes = _class_incidence(c)
     for p, cls in enumerate(classes):
         if not np.array_equal(h[p][cls.rep][cls.member_class], h[p]):
@@ -285,20 +284,19 @@ def forward(
             new_h.append(out)
         h = new_h
     return _readout(
-        [(len(block), cls.sizes.astype(np.float64) @ block)
-         for cls, block in zip(classes, h)],
+        c, [cls.sizes.astype(np.float64) @ block for cls, block in zip(classes, h)],
         params,
     )
 
 
-def _readout(pooled_by_dim: list, params: NetworkParams) -> np.ndarray:
-    """Per-dimension dense layer on the sum-pooled features, given as
-    (row count, sum) per dimension, summed over the non-empty dimensions,
-    then the two-layer projection."""
+def _readout(c: HigherOrderComplex, pooled_by_dim: list,
+             params: NetworkParams) -> np.ndarray:
+    """Per-dimension dense layer on the sum-pooled features, summed over the
+    non-empty dimensions of ``c``, then the two-layer projection."""
     pooled = np.zeros(params.hidden_dim)
-    for p, (count, total) in enumerate(pooled_by_dim):
+    for count, total, dense in zip(c.counts(), pooled_by_dim, params.pool_dense):
         if count:
-            pooled = pooled + _elu(_dense(total, params.pool_dense[p]))
+            pooled = pooled + _elu(_dense(total, dense))
     hidden = _elu(_dense(pooled, params.projection[0]))
     embedding = _dense(hidden, params.projection[1])
     if not np.all(np.isfinite(embedding)):

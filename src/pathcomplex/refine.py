@@ -223,7 +223,8 @@ def refine_pair(
     rounds = engine.run(max_rounds)
     if rule == "reduced" and engine.stable:
         # refinement is local, so each side's slice of the joint stable
-        # coloring is that complex's own stable partition
+        # coloring is that complex's own stable partition; a network forward
+        # on the same lift (pcn after pwl) then skips a second refinement
         for side, c in enumerate((x, y)):
             lo, hi = engine.offsets[side], engine.offsets[side + 1]
             _keep_stable(c, engine.colors[lo:hi], engine.k)
@@ -293,12 +294,10 @@ def _keep_stable(c: HigherOrderComplex, colors: np.ndarray, k: int) -> None:
     if c._stable_colors is not None:
         return
     dims = np.repeat(np.arange(c.max_dim + 1, dtype=np.int64), c.counts())
-    key = dims * k + colors  # so no class spans two dimensions
-    ids = np.arange(c.total, dtype=np.int64)
-    first = np.full((c.max_dim + 1) * k, c.total, dtype=np.int64)
-    np.minimum.at(first, key, ids)
-    first = first[key]  # each member's lowest class mate
-    colors = (np.cumsum(first == ids) - 1)[first]
+    # keyed by dimension too, so no class spans two dimensions
+    _, first, inverse = np.unique(dims * k + colors, return_index=True,
+                                  return_inverse=True)
+    colors = np.argsort(np.argsort(first))[inverse]  # rank of the lowest member
     colors.flags.writeable = False
     c._stable_colors = colors
 
