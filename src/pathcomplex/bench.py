@@ -116,6 +116,8 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if self.layers < 0:
+            raise ValueError(f"layers must be non-negative, got {self.layers}")
         if self.is_network and not self.seeds:
             raise ValueError(f"method {self.method!r} needs a non-empty seed list")
 

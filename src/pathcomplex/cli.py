@@ -103,6 +103,8 @@ class CliConfig:
             raise _UsageError("epsilon must be positive")
         if self.member_cap <= 0 or self.threads <= 0:
             raise _UsageError("member-cap and threads must be positive")
+        if self.hidden_dim <= 0 or self.embed_dim <= 0:
+            raise _UsageError("hidden-dim and embed-dim must be positive")
 
 
 def _parse_seeds(raw: str) -> tuple:
@@ -227,6 +229,7 @@ def _cmd_test(args) -> int:
     g1 = _read_one_graph(args.graph_a, args.format, args.index_a)
     g2 = _read_one_graph(args.graph_b, args.format, args.index_b)
     run_cfg = _run_config(args, cfg, args.method, args.layers)
+    run_cfg.validate()
     c1, c2 = run_cfg.lift(g1), run_cfg.lift(g2)
     if run_cfg.is_network:
         # separated iff every seed pushes the pair past epsilon

@@ -129,6 +129,7 @@ class HigherOrderComplex:
         self._upper_flat = None
         self._lower_flat = None
         self._stable_colors = None  # filled by refine.stable_colors
+        self._class_plan = None  # filled by network._class_incidence
 
     # -- lookups ---------------------------------------------------------
 

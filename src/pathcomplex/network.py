@@ -21,10 +21,18 @@ boundary row and upper triples remapped to class ids, and sum-pools with
 the class sizes.  The stable coloring comes from
 :func:`pathcomplex.refine.stable_colors`: built on the first forward that
 runs a layer, cached on the complex, and also filled by a reduced-rule
-``refine_pair`` run to stability or ``stable_fingerprint``.  Low-symmetry
-complexes, whose classes are about as many as their members, gain nothing
-and pay for the partition once, unless such a run already filled it.  A
-zero-layer forward builds no partition: it pools the features it is given.
+``refine_pair`` run to stability or ``stable_fingerprint``.  The class plan
+built from it (representatives, sizes, remapped boundary and upper entries)
+is cached on the complex beside it, so each complex pays for both once.
+Low-symmetry complexes, whose classes are about as many as their members,
+gain nothing and pay for the partition once, unless such a run already
+filled it.  A zero-layer forward builds no partition: it pools the features
+it is given.
+
+Each layer allocates little: a segment sum is one ``bincount`` pass over a
+flat (row, column) index, the ELU overwrites the fresh array it is given,
+and the upper messages are gathered and biased in place.  These give the
+same bytes as per-column sums and an out-of-place ELU.
 
 Weights are drawn once from a seeded PCG64 generator, uniform on
 ``[-sqrt(1/fan_in), +sqrt(1/fan_in)]``, in a fixed (layer, dimension, block)
@@ -56,7 +64,18 @@ __all__ = [
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+    """ELU, ``max(x, 0) + expm1(min(x, 0))``, computed in place.
+
+    ``x`` is overwritten and returned, so it must be a fresh array that the
+    caller owns.  The bytes equal those of ``np.where(x > 0, x,
+    np.expm1(np.minimum(x, 0)))``, signed zeros, infinities and subnormals
+    included, with one temporary instead of three.
+    """
+    neg = np.minimum(x, 0.0)
+    np.expm1(neg, out=neg)
+    np.maximum(x, 0.0, out=x)
+    x += neg
+    return x
 
 
 def _dense(x: np.ndarray, wb) -> np.ndarray:
@@ -92,6 +111,10 @@ class NetworkParams:
         hidden_dim: int = 16,
         embed_dim: int = 32,
     ) -> "NetworkParams":
+        if layers < 0:
+            raise ValueError(f"layers must be non-negative, got {layers}")
+        if hidden_dim <= 0 or embed_dim <= 0:
+            raise ValueError("hidden_dim and embed_dim must be positive")
         rng = np.random.default_rng(seed)
 
         def draw(fan_in, fan_out):
@@ -188,8 +211,15 @@ class _Classes(NamedTuple):
     upper: tuple  # (class, neighbor class, witness class)
 
 
-def _class_incidence(c: HigherOrderComplex) -> list:
-    """The :class:`_Classes` of every dimension of ``c``."""
+def _class_incidence(c: HigherOrderComplex) -> tuple:
+    """The :class:`_Classes` of every dimension of ``c``, cached on ``c``.
+
+    Built once per complex from its stable coloring.  The content is
+    deterministic, so threads that fill one complex at once store equal
+    data and it does not matter which write lands.
+    """
+    if c._class_plan is not None:
+        return c._class_plan
     colors = stable_colors(c)
     _, reps, sizes = np.unique(colors, return_index=True, return_counts=True)
     first = np.searchsorted(reps, c.dim_offsets)  # each dimension's first class
@@ -206,15 +236,24 @@ def _class_incidence(c: HigherOrderComplex) -> list:
                  colors[up_delta[pos]] - first[p + 1])
         out.append(_Classes(colors[lo:hi] - first[p], rep - lo,
                             sizes[first[p]:first[p + 1]], boundary, upper))
-    return out
+    c._class_plan = tuple(out)
+    return c._class_plan
 
 
 def _segment_sum(values: np.ndarray, src: np.ndarray, n_out: int) -> np.ndarray:
-    """Column-wise bincount: sequential per-bin accumulation, fixed order."""
-    out = np.zeros((n_out, values.shape[1]), dtype=np.float64)
-    for j in range(values.shape[1]):
-        out[:, j] = np.bincount(src, weights=values[:, j], minlength=n_out)
-    return out
+    """Row ``i`` of the result sums the rows ``values[src == i]``.
+
+    One ``bincount`` over the flat index ``src * width + column``: every
+    bin accumulates its entries sequentially in entry order, so the sums are
+    the bytes of a per-column ``bincount``.  The index is as large as
+    ``values`` and built on each call.
+    """
+    width = values.shape[1]
+    flat = src[:, None] * width + np.arange(width)
+    out = np.bincount(flat.ravel(), weights=values.ravel(),
+                      minlength=n_out * width)
+    # an empty src gives an int64 result
+    return out.astype(np.float64, copy=False).reshape(n_out, width)
 
 
 def forward(
@@ -272,8 +311,10 @@ def forward(
                 # the dense layer on [neighbor, witness], split by weight rows
                 # so no (triples, 2d) pair array is built
                 w, b = blocks["message"]
-                msgs = _elu((h[p] @ w[:d])[tau] + (h[p + 1] @ w[d:])[delta] + b)
-                agg_u = _segment_sum(msgs, src, k)
+                msgs = (h[p] @ w[:d])[tau]
+                msgs += (h[p + 1] @ w[d:])[delta]
+                msgs += b
+                agg_u = _segment_sum(_elu(msgs), src, k)
             m_u = _elu(_dense(h[p] + agg_u, blocks["upper"]))
             out = _elu(_dense(np.concatenate([m_b, m_u], axis=1),
                               blocks["update"]))

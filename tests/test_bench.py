@@ -79,6 +79,11 @@ class TestRunFamily:
         with pytest.raises(ValueError, match="seed"):
             run_family(sr16, RunConfig(method="pcn", seeds=()))
 
+    @pytest.mark.parametrize("method", ["pcn", "pwl"])
+    def test_negative_layers_rejected(self, sr16, method):
+        with pytest.raises(ValueError, match="layers"):
+            run_family(sr16, RunConfig(method=method, layers=-1, seeds=(0,)))
+
     def test_member_cap_skips_family_with_diagnostic(self, sr16):
         report = run_family(
             sr16, RunConfig(method="pwl", max_dim=3, seeds=(), member_cap=10)

@@ -118,6 +118,32 @@ class TestTest:
         assert code == 0
         assert "histogram-a" in out
 
+    def test_empty_seed_list_is_a_usage_error(self, capsys, files):
+        code, out, err = run(capsys, "test", files["c6"], files["kk"],
+                             "--method", "pcn", "--seeds", ",")
+        assert code == 1
+        assert out == ""
+        assert "needs a non-empty seed list" in err
+
+    @pytest.mark.parametrize("method", ["pcn", "pwl"])
+    def test_negative_layers_is_a_usage_error(self, capsys, files, method):
+        code, out, err = run(capsys, "test", files["c6"], files["kk"],
+                             "--method", method, "--layers", "-2")
+        assert code == 1
+        assert out == ""
+        assert "layers" in err
+
+    @pytest.mark.parametrize("flag", ["--hidden-dim", "--embed-dim"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_dims_are_usage_errors(self, capsys, files, flag,
+                                                value):
+        code, out, err = run(capsys, "test", files["c6"], files["kk"],
+                             "--method", "pcn", "--seeds", "0", flag, value)
+        assert code == 1
+        assert out == ""
+        assert "must be positive" in err
+        assert "Traceback" not in err
+
     def test_json_output(self, capsys, files):
         code, out, _ = run(capsys, "test", files["c6"], files["kk"],
                            "--method", "pwl", "--max-dim", "2",
@@ -165,6 +191,25 @@ class TestBench:
         doc = json.loads((tmp_path / "out.json").read_text())
         assert doc["reports"][0]["aggregate"]["mean"] == 0.0
         assert (tmp_path / "out.csv").read_text().startswith("family,")
+
+    @pytest.mark.parametrize("flags", [
+        ("--layers=-1",), ("--layers", "2,-1"), ("--hidden-dim", "0"),
+        ("--embed-dim", "0"),
+    ])
+    def test_bad_network_sizes_are_usage_errors(self, capsys, srg_specs,
+                                                tmp_path, flags):
+        spec = srg_specs["SR(16,6,2,2)"]
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(
+            f"{spec.name} {spec.path} {spec.n} {spec.k} {spec.lam} {spec.mu}\n"
+        )
+        prefix = tmp_path / "out"
+        code, out, err = run(capsys, "bench", manifest, "--methods", "pcn",
+                             "--seeds", "0", "--out-prefix", prefix, *flags)
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_empty_manifest_warns_and_succeeds(self, capsys, tmp_path):
         manifest = tmp_path / "m.txt"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pathcomplex import network
 from pathcomplex.bench import load_family
 from pathcomplex.complexes import lift_path_complex, lift_ring_complex
 from pathcomplex.graphs import (
@@ -88,6 +89,90 @@ def reference_forward(c, feats, params):
         if counts[p]:
             pooled = pooled + elu(dense(h[p].sum(axis=0), params.pool_dense[p]))
     return dense(elu(dense(pooled, params.projection[0])), params.projection[1])
+
+
+def where_elu(x):
+    """The three-temporary ELU that ``network._elu`` replaces."""
+    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+
+
+def per_column_segment_sum(values, src, n_out):
+    """One strided ``bincount`` per column, which ``network._segment_sum``
+    replaces."""
+    out = np.zeros((n_out, values.shape[1]), dtype=np.float64)
+    for j in range(values.shape[1]):
+        out[:, j] = np.bincount(src, weights=values[:, j], minlength=n_out)
+    return out
+
+
+class TestKernels:
+    """The one-pass kernels of ``forward`` give the bytes of the forms they
+    replace."""
+
+    @pytest.mark.parametrize("n, n_out, width", [
+        (0, 0, 16), (0, 5, 16), (0, 3, 1), (1, 1, 1), (7, 1, 3),
+        (50, 200, 16), (1000, 40, 16), (333, 17, 1), (200, 9, 33),
+    ])
+    def test_segment_sum_matches_per_column_bincount(self, n, n_out, width):
+        rng = np.random.default_rng(n * 1000 + width)
+        values = rng.normal(scale=10.0, size=(n, width))
+        # unsorted; many bins stay empty when n_out exceeds n
+        src = rng.integers(0, max(n_out, 1), size=n)
+        got = network._segment_sum(values, src, n_out)
+        want = per_column_segment_sum(values, src, n_out)
+        assert got.dtype == np.float64
+        assert got.shape == (n_out, width)
+        assert got.tobytes() == want.tobytes()
+
+    def test_elu_matches_where_form_in_place(self):
+        rng = np.random.default_rng(11)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                            1e-310, -1e-310, np.inf, -np.inf, -800.0, 800.0,
+                            -1e-17, 1e-17, -745.2, -0.5, 0.5])
+        x = np.concatenate([special, rng.normal(scale=5.0, size=2000),
+                            rng.choice(special, size=1000)])
+        x = x[rng.permutation(x.size)].reshape(-1, 7)
+        want = where_elu(x)
+        arg = x.copy()
+        got = network._elu(arg)
+        assert got is arg  # in place
+        assert got.tobytes() == want.tobytes()
+        for v in special:  # one element at a time, outside any vector loop
+            assert network._elu(np.array([v])).tobytes() == \
+                where_elu(np.array([v])).tobytes()
+
+    def test_forward_bytes_equal_with_replaced_kernels(self, srg_specs,
+                                                       monkeypatch):
+        rng = np.random.default_rng(99)
+        complexes = [lift_path_complex(g, 3)
+                     for name in ("SR(16,6,2,2)", "SR(26,10,3,4)")
+                     for g in load_family(srg_specs[name])[:2]]
+        for _ in range(6):
+            g = random_graph(int(rng.integers(5, 11)), 0.5, rng)
+            complexes += [lift_path_complex(g, 2), lift_ring_complex(g, 5)]
+        runs = []
+        for i, c in enumerate(complexes):
+            params = NetworkParams.create(seed=i, layers=4, max_dim=c.max_dim)
+            runs.append((c, init_features(c), params))
+        new = [forward(*run) for run in runs]
+        monkeypatch.setattr(network, "_elu", where_elu)
+        monkeypatch.setattr(network, "_segment_sum", per_column_segment_sum)
+        old = [forward(*run) for run in runs]
+        for a, b in zip(new, old):
+            assert a.tobytes() == b.tobytes()
+
+    def test_class_plan_built_once_per_complex(self):
+        c = lift_path_complex(cycle_graph(6), 3)
+        forward(c, init_features(c), NetworkParams.create(0, 0, max_dim=3))
+        assert c._class_plan is None  # a zero-layer forward needs no plan
+        params = NetworkParams.create(seed=0, layers=2, max_dim=3)
+        first = forward(c, init_features(c), params)
+        plan = c._class_plan
+        assert plan is not None
+        assert network._class_incidence(c) is plan
+        second = forward(c, init_features(c), params)
+        assert c._class_plan is plan  # not rebuilt
+        assert first.tobytes() == second.tobytes()
 
 
 class TestInitFeatures:
@@ -185,6 +270,15 @@ class TestForward:
         c = lift_path_complex(cycle_graph(5), 2)
         params = NetworkParams.create(seed=1, layers=2, max_dim=2, embed_dim=48)
         assert forward(c, init_features(c), params).shape == (48,)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"layers": -1}, {"layers": -2}, {"hidden_dim": 0}, {"embed_dim": 0},
+        {"hidden_dim": -4},
+    ])
+    def test_create_rejects_bad_sizes(self, kwargs):
+        args = {"seed": 0, "layers": 2, "max_dim": 2, **kwargs}
+        with pytest.raises(ValueError):
+            NetworkParams.create(**args)
 
     def test_max_dim_mismatch_rejected(self):
         c = lift_path_complex(cycle_graph(5), 2)
