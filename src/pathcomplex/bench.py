@@ -48,6 +48,7 @@ __all__ = [
     "parse_manifest",
     "load_family",
     "run_family",
+    "network_outcomes",
     "sweep",
     "time_lifting",
     "reports_to_csv",
@@ -112,10 +113,17 @@ class RunConfig:
     threads: int = 1
 
     def validate(self):
+        """Raise ``ValueError`` for any setting the engines cannot run."""
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.boundary_mode not in ("incidence", "truncation"):
+            raise ValueError(f"bad boundary-mode {self.boundary_mode!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if self.member_cap <= 0 or self.threads <= 0:
+            raise ValueError("member-cap and threads must be positive")
+        if self.hidden_dim <= 0 or self.embed_dim <= 0:
+            raise ValueError("hidden-dim and embed-dim must be positive")
         if self.layers < 0:
             raise ValueError(f"layers must be non-negative, got {self.layers}")
         if self.is_network and not self.seeds:
@@ -242,20 +250,29 @@ def _lift_all(graphs, cfg: RunConfig):
 
 
 class _LiftCache:
-    """Lifted families, with the time the lift took, shared across cells.
+    """Loaded and lifted families, with the time the lift took, shared
+    across cells.
 
-    Keyed by the family's file and every argument of the lift call, so two
-    families with one name, or two cells with different member caps, never
-    share complexes.
+    A family is keyed by its file and its ``(n, k, lambda, mu)``, so a hit
+    never skips a parameter check that a fresh load would fail; a lift also
+    by every argument of the lift call, so two cells with different member
+    caps never share complexes.
     """
 
     def __init__(self):
+        self.families = {}
         self.store = {}
 
-    def get(self, spec: FamilySpec, graphs, cfg: RunConfig):
-        key = (spec.path, *cfg.lift_args)
+    def graphs(self, spec: FamilySpec) -> list:
+        key = (spec.path, spec.n, spec.k, spec.lam, spec.mu)
+        if key not in self.families:
+            self.families[key] = load_family(spec)
+        return self.families[key]
+
+    def get(self, spec: FamilySpec, cfg: RunConfig):
+        key = (spec.path, spec.n, spec.k, spec.lam, spec.mu, *cfg.lift_args)
         if key not in self.store:
-            self.store[key] = _lift_all(graphs, cfg)
+            self.store[key] = _lift_all(self.graphs(spec), cfg)
         return self.store[key]
 
 
@@ -266,6 +283,40 @@ def _map_jobs(fn, jobs, threads: int):
     return [fn(job) for job in jobs]
 
 
+def network_outcomes(complexes, pairs, cfg: RunConfig) -> list:
+    """The network verdict on ``pairs`` of ``complexes``, one
+    :class:`SeedOutcome` per seed of ``cfg``.
+
+    Each seed draws one set of random weights for every complex; under it a
+    pair is indistinguishable when its embeddings lie within epsilon.
+    """
+    max_dim = complexes[0].max_dim if complexes else cfg.max_dim
+    feats = [init_features(c, cfg.hidden_dim) for c in complexes]
+    outcomes = []
+    for seed in cfg.seeds:
+        params = NetworkParams.create(
+            seed=seed,
+            layers=cfg.layers,
+            max_dim=max_dim,
+            hidden_dim=cfg.hidden_dim,
+            embed_dim=cfg.embed_dim,
+        )
+        t0 = time.monotonic()
+        embeddings = _map_jobs(
+            lambda i: forward(complexes[i], feats[i], params),
+            list(range(len(complexes))),
+            cfg.threads,
+        )
+        fwd_ms = (time.monotonic() - t0) * 1000.0
+        bad = sum(
+            embedding_distance(embeddings[i], embeddings[j]) < cfg.epsilon
+            for i, j in pairs
+        )
+        rate = bad / len(pairs) if pairs else 0.0
+        outcomes.append(SeedOutcome(seed, len(pairs), bad, rate, fwd_ms))
+    return outcomes
+
+
 def run_family(
     spec: FamilySpec,
     cfg: RunConfig,
@@ -273,8 +324,8 @@ def run_family(
 ) -> FailureReport:
     """Failure rate of one method on every graph pair of one family."""
     cfg.validate()
-    graphs = load_family(spec)
-    pairs = list(itertools.combinations(range(len(graphs)), 2))
+    cache = _LiftCache() if cache is None else cache
+    pairs = list(itertools.combinations(range(len(cache.graphs(spec))), 2))
     report = FailureReport(
         family=spec.name,
         method=cfg.method,
@@ -283,41 +334,14 @@ def run_family(
         pairs=len(pairs),
     )
     try:
-        if cache is None:
-            complexes, report.lift_ms = _lift_all(graphs, cfg)
-        else:
-            complexes, report.lift_ms = cache.get(spec, graphs, cfg)
+        complexes, report.lift_ms = cache.get(spec, cfg)
     except CapacityError as exc:
         report.skipped = True
         report.diagnostic = f"member cap exceeded while lifting: {exc}"
         return report
 
     if cfg.is_network:
-        max_dim = complexes[0].max_dim if complexes else cfg.max_dim
-        feats = [init_features(c, cfg.hidden_dim) for c in complexes]
-        for seed in cfg.seeds:
-            params = NetworkParams.create(
-                seed=seed,
-                layers=cfg.layers,
-                max_dim=max_dim,
-                hidden_dim=cfg.hidden_dim,
-                embed_dim=cfg.embed_dim,
-            )
-            t0 = time.monotonic()
-            embeddings = _map_jobs(
-                lambda i: forward(complexes[i], feats[i], params),
-                list(range(len(graphs))),
-                cfg.threads,
-            )
-            fwd_ms = (time.monotonic() - t0) * 1000.0
-            bad = sum(
-                embedding_distance(embeddings[i], embeddings[j]) < cfg.epsilon
-                for i, j in pairs
-            )
-            rate = bad / len(pairs) if pairs else 0.0
-            report.outcomes.append(
-                SeedOutcome(seed, len(pairs), bad, rate, fwd_ms)
-            )
+        report.outcomes = network_outcomes(complexes, pairs, cfg)
         return report
 
     # deterministic methods: one outcome, seed None

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -526,6 +526,8 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
         raise SerializationError(f"unknown kind {kind!r}")
     n = int(fields["n"])
     max_dim = int(fields["maxdim"])
+    if max_dim < 0 or (kind == "cell" and max_dim > 2):
+        raise SerializationError(f"maxdim {max_dim} out of range for kind {kind!r}")
     members = []
     pos = 1
     expected_gid = 0

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from pathcomplex import bench
 from pathcomplex.bench import (
     FamilySpec,
     ManifestError,
@@ -53,6 +54,19 @@ class TestManifest:
         spec = FamilySpec("BAD", str(tmp_path / "bad.g6"), 4, 3, 2, 2)
         with pytest.raises(ValueError, match="parameter check"):
             load_family(spec)
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("setting, message", [
+        ({"boundary_mode": "bogus"}, "boundary-mode"),
+        ({"member_cap": 0}, "must be positive"),
+        ({"threads": 0}, "must be positive"),
+        ({"hidden_dim": 0}, "must be positive"),
+        ({"embed_dim": -1}, "must be positive"),
+    ])
+    def test_validate_rejects_each_setting(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(method="swl", **setting).validate()
 
 
 class TestRunFamily:
@@ -134,6 +148,26 @@ class TestRunFamily:
             cache=cache,
         )
         assert capped.skipped
+
+    def test_cache_hit_does_not_reload_the_family(self, sr16, monkeypatch):
+        cfg = RunConfig(method="pwl", max_dim=3, seeds=())
+        cache = _LiftCache()
+        miss = run_family(sr16, cfg, cache=cache)
+
+        def reload(spec, validate=True):
+            raise AssertionError("a cache hit loaded the family again")
+
+        monkeypatch.setattr(bench, "load_family", reload)
+        assert run_family(sr16, cfg, cache=cache).rates == miss.rates
+
+    def test_cache_hit_keeps_the_parameter_check(self, sr16):
+        cfg = RunConfig(method="pwl", max_dim=3, seeds=())
+        cache = _LiftCache()
+        run_family(sr16, cfg, cache=cache)
+        wrong = FamilySpec(sr16.name, sr16.path, sr16.n, sr16.k, sr16.lam + 1,
+                           sr16.mu)
+        with pytest.raises(ValueError, match="parameter check"):
+            run_family(wrong, cfg, cache=cache)
 
     def test_threaded_run_matches_serial(self, sr16):
         serial = run_family(sr16, RunConfig(method="pcn", layers=4, seeds=(0, 1)))

@@ -91,6 +91,11 @@ class TestLift:
         assert code == 3
         assert "cap" in err
 
+    def test_directory_input_is_an_input_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "lift", tmp_path)
+        assert code == 2
+        assert err.startswith("input error")
+
 
 class TestTest:
     def test_wl1_misses_the_classic_pair(self, capsys, files):
@@ -150,6 +155,18 @@ class TestTest:
                            "--output-format", "json")
         assert code == 0
         assert json.loads(out)["verdict"] == "DISTINGUISHED"
+
+    @pytest.mark.parametrize("method", ["pcn", "cwn"])
+    @pytest.mark.parametrize("layers", ["2", "4"])
+    @pytest.mark.parametrize("a, b, verdict", [
+        ("c6", "kk", "DISTINGUISHED"), ("c6", "c6", "NOT-DISTINGUISHED"),
+    ])
+    def test_network_verdict_and_rounds(self, capsys, files, method, layers,
+                                        a, b, verdict):
+        code, out, _ = run(capsys, "test", files[a], files[b],
+                           "--method", method, "--layers", layers)
+        assert code == 0
+        assert out == f"{verdict} rounds={layers}\n"
 
 
 class TestFamilies:
@@ -246,6 +263,11 @@ class TestBench:
         assert code == 2
         assert "m.txt:1" in err
 
+    def test_directory_manifest_is_an_input_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "bench", tmp_path)
+        assert code == 2
+        assert err.startswith("input error")
+
 
 class TestTimeLift:
     def test_runs_and_reports(self, capsys, files):
@@ -271,6 +293,15 @@ class TestConfig:
         assert code == 0  # flag overrides the tiny cap from the file
         code, _, _ = run(capsys, "lift", files["c6"], "--config", cfg)
         assert code == 3  # file cap applies without the flag
+
+    def test_config_epsilon_reaches_the_network_verdict(self, capsys, files,
+                                                        tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("epsilon = 1e9\n")
+        code, out, _ = run(capsys, "test", files["c6"], files["kk"],
+                           "--method", "pcn", "--config", cfg)
+        assert code == 0
+        assert out.startswith("NOT-DISTINGUISHED")
 
     def test_bad_flag_usage_error(self, capsys, files):
         code, _, err = run(capsys, "lift", files["p4"], "--kind", "banana")

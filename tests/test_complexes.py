@@ -383,6 +383,17 @@ class TestSerialization:
         with pytest.raises(SerializationError):
             deserialize_complex(text)
 
+    @pytest.mark.parametrize("text", [
+        "PCX v1 kind=path n=3 maxdim=-1\nboundaries\n",
+        # a 4-cycle's ring lift with empty dimensions 3 and 4 appended
+        serialize_complex(lift_ring_complex(cycle_graph(4), 4))
+        .replace("maxdim=2", "maxdim=4", 1)
+        .replace("boundaries\n", "dim 3 count 0\ndim 4 count 0\nboundaries\n", 1),
+    ])
+    def test_maxdim_out_of_range_rejected(self, text):
+        with pytest.raises(SerializationError, match="maxdim"):
+            deserialize_complex(text)
+
     @pytest.mark.parametrize("section, old, new, message", [
         ("members", "5: 1 2\n", "5: 0 1\n", "repeat"),  # duplicated member
         ("members", "4: 0 1\n", "4: 1 0\n", "canonical"),  # reversed edge
