@@ -74,8 +74,10 @@ def int_list(raw: str) -> tuple:
         if not part:
             continue
         if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(end) for end in part.split("..", 1))
+            if hi < lo:
+                raise ValueError(f"empty range {part!r}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
     return tuple(out)
@@ -214,6 +216,8 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if not args.layers:
+        raise _UsageError("--layers names no layer count")
     configs = []
     for method in args.methods.split(","):
         for layers in args.layers:

@@ -18,18 +18,24 @@ Member ids are global and dimension-major; within a dimension members are
 listed in lexicographic carrier order, which makes every derived structure
 reproducible across runs.
 
-A complex stores its carriers per dimension and one boundary CSR, which
-every lifting fills through one assembler from its kind's ``faces(carrier)``.
-The coboundary CSR (a stable argsort of the boundary CSR) and the upper and
-lower adjacency triples (ordered pairs within each row of the two CSRs) are
-derived from it on first use and cached.
+A complex stores one int64 carrier array per dimension (a row per member;
+ring cells shorter than the widest are padded with -1 at the end, which
+sorts before every vertex and so keeps tuple order) and one boundary CSR.
+Liftings enumerate carriers a dimension at a time in numpy: every row is
+repeated once per neighbour of its last vertex and the neighbour appended,
+which keeps the rows in lexicographic order.  One array assembler serves all
+three kinds, and the PCX reader: it builds each row's canonical faces as
+arrays and finds their ids by ``searchsorted`` over packed row keys of the
+dimension below.  The coboundary CSR (a stable argsort of the boundary CSR)
+and the upper and lower adjacency triples (ordered pairs within each row of
+the two CSRs) are derived from it on first use and cached.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -113,17 +119,20 @@ class CyclicFamily:
 
 
 class HigherOrderComplex:
-    """Members per dimension plus one boundary CSR, the only stored incidence."""
+    """Carrier arrays per dimension plus one boundary CSR, the only stored incidence.
 
-    def __init__(self, kind, source, max_dim, members_by_dim, indptr, indices):
+    ``carriers[p]`` holds one row per dimension-p member in id order; rows
+    of ring cells are padded with -1 to the widest ring.
+    """
+
+    def __init__(self, kind, source, max_dim, carriers, indptr, indices):
         self.kind = kind
         self.source = source
         self.n = source.n if source is not None else 0
         self.max_dim = max_dim
-        self.members_by_dim = [list(ms) for ms in members_by_dim]
-        self.dim_offsets = _offsets(self.members_by_dim)
+        self.carriers = carriers
+        self.dim_offsets = _offsets(carriers)
         self.total = self.dim_offsets[-1]
-        self._index = None
         self._boundary_csr = (indptr, indices)
         self._coboundary_csr = None
         self._upper_flat = None
@@ -134,7 +143,12 @@ class HigherOrderComplex:
     # -- lookups ---------------------------------------------------------
 
     def counts(self) -> list:
-        return [len(ms) for ms in self.members_by_dim]
+        return [len(rows) for rows in self.carriers]
+
+    @property
+    def members_by_dim(self) -> list:
+        """Each dimension's carriers as a fresh list of tuples, in id order."""
+        return [_tuples(rows) for rows in self.carriers]
 
     def dim_of(self, gid: int) -> int:
         for p in range(self.max_dim + 1):
@@ -144,23 +158,26 @@ class HigherOrderComplex:
 
     def carrier_of(self, gid: int) -> tuple:
         p = self.dim_of(gid)
-        return self.members_by_dim[p][gid - self.dim_offsets[p]]
+        return _tuples(self.carriers[p][gid - self.dim_offsets[p]][None])[0]
 
     def member(self, gid: int) -> Member:
         return Member(self.dim_of(gid), self.kind, self.carrier_of(gid))
 
-    def members(self, dim: Optional[int] = None):
-        dims = range(self.max_dim + 1) if dim is None else [dim]
-        for p in dims:
-            for carrier in self.members_by_dim[p]:
-                yield Member(p, self.kind, carrier)
-
     def member_id(self, dim: int, carrier: Sequence[int]) -> int:
-        if self._index is None:
-            self._index = [
-                {c: i for i, c in enumerate(ms)} for ms in self.members_by_dim
-            ]
-        return self.dim_offsets[dim] + self._index[dim][tuple(carrier)]
+        """Global id of a canonical carrier; ``KeyError`` if it is no member."""
+        rows = self.carriers[dim]
+        key = tuple(carrier)
+        if len(key) > rows.shape[1] or min(key, default=0) < 0:
+            raise KeyError(key)
+        lo, hi = 0, len(rows)
+        # rows agreeing on the first j columns are contiguous and sorted by column j
+        for j, v in enumerate(key + (-1,) * (rows.shape[1] - len(key))):
+            column = rows[lo:hi, j]
+            lo, hi = (lo + int(np.searchsorted(column, v)),
+                      lo + int(np.searchsorted(column, v, "right")))
+        if lo == hi:
+            raise KeyError(key)
+        return self.dim_offsets[dim] + lo
 
     def dim_range(self, p: int) -> range:
         return range(self.dim_offsets[p], self.dim_offsets[p + 1])
@@ -212,7 +229,8 @@ class HigherOrderComplex:
             and self.kind == other.kind
             and self.n == other.n
             and self.max_dim == other.max_dim
-            and self.members_by_dim == other.members_by_dim
+            and len(self.carriers) == len(other.carriers)
+            and all(map(np.array_equal, self.carriers, other.carriers))
             and all(map(np.array_equal, self._boundary_csr, other._boundary_csr))
         )
 
@@ -247,9 +265,26 @@ def _pair_triples(indptr, indices):
     return src[order], tau[order], delta[order]
 
 
-def _offsets(members) -> tuple:
+def _offsets(carriers) -> tuple:
     """First global id of each dimension, then the member total."""
-    return tuple(itertools.accumulate(map(len, members), initial=0))
+    return tuple(itertools.accumulate(map(len, carriers), initial=0))
+
+
+def _tuples(rows) -> list:
+    """Carrier rows as tuples of ints, ring padding dropped."""
+    if rows.size and rows[:, -1].min() < 0:
+        return [tuple(v for v in row if v >= 0) for row in rows.tolist()]
+    return list(map(tuple, rows.tolist()))
+
+
+def _rows(carriers, width) -> np.ndarray:
+    """Carrier tuples as an int64 array at least ``width`` wide; rows shorter
+    than the array (ring cells) are padded with -1 at the end."""
+    width = max(width, max(map(len, carriers), default=0))
+    out = np.full((len(carriers), width), -1, dtype=np.int64)
+    for i, c in enumerate(carriers):
+        out[i, :len(c)] = c
+    return out
 
 
 def _pack(sizes, flat):
@@ -257,6 +292,112 @@ def _pack(sizes, flat):
     indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
     return indptr, np.array(flat, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# array assembly: face carriers and their ids one dimension down
+# ---------------------------------------------------------------------------
+
+
+def _rank(keys, wanted, bound) -> np.ndarray:
+    """Position of each wanted key in the strictly increasing ``keys``, or -1.
+
+    Every key is below ``bound``; when that is small next to the arrays, a
+    direct table replaces the binary search.
+    """
+    if bound <= 4 * (len(keys) + len(wanted)):
+        table = np.full(bound, -1, dtype=np.int64)
+        table[keys] = np.arange(len(keys))
+        return table[wanted]
+    pos = np.searchsorted(keys, wanted)
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == wanted[hit]
+    return np.where(hit, pos, -1)
+
+
+def _row_index(table, queries) -> np.ndarray:
+    """The row of ``table`` equal to each row of ``queries``, or -1.
+
+    ``table`` holds distinct rows in lexicographic order; both arrays have
+    the same width and hold values >= 0.  Rows are packed column by column
+    into int64 keys, ``key * radix + value``, which keeps lexicographic
+    order.  Before a column could overflow the keys, the table's distinct
+    prefixes so far are numbered densely and the queries' prefixes looked
+    up among them, so the keys stay exact whatever the width and radix.
+    """
+    if not len(table):
+        return np.full(len(queries), -1, dtype=np.int64)
+    radix = 1 + int(max(table.max(), queries.max(initial=0)))
+    keys = np.zeros(len(table), dtype=np.int64)
+    wanted = np.zeros(len(queries), dtype=np.int64)
+    found = np.ones(len(queries), dtype=bool)
+    bound = 1  # every key is below it
+    for j in range(table.shape[1]):
+        if bound * radix > 2 ** 63:
+            new = np.ones(len(keys), dtype=bool)
+            new[1:] = keys[1:] != keys[:-1]
+            wanted = _rank(keys[new], wanted, bound)
+            found &= wanted >= 0
+            wanted[~found] = 0
+            keys = np.cumsum(new) - 1
+            bound = int(keys[-1]) + 1
+        keys = keys * radix + table[:, j]
+        wanted = wanted * radix + queries[:, j]
+        bound *= radix
+    ids = _rank(keys, wanted, bound)
+    ids[~found] = -1
+    return ids
+
+
+def _face_ids(kind, carriers, p, truncation=False):
+    """``(faces, bounds, ids)`` for the dimension-p members.
+
+    ``faces[i, q]`` is the q-th canonical face carrier of member i: the
+    deletion of column q, or a ring's q-th edge, the wrap included.
+    ``bounds[i, q]`` is False where that face cannot bound member i (a
+    padded ring column, an interior path deletion under truncation), and
+    ``ids[i, q]`` is the face's row in ``carriers[p - 1]`` where it can and
+    is a member there, else -1.  An interior path deletion is a member iff
+    it is still a walk, that is iff its skip edge exists, so under
+    incidence its id alone decides whether it bounds the path.
+    """
+    rows = carriers[p]
+    if kind == "cell" and p == 2:
+        after = np.roll(rows, -1, axis=1)
+        after = np.where(after >= 0, after, rows[:, :1])
+        faces = np.sort(np.stack((rows, after), axis=2), axis=2)
+        bounds = rows >= 0
+    else:
+        keep = [j for q in range(p + 1) for j in range(p + 1) if j != q]
+        faces = rows.take(keep, axis=1).reshape(len(rows), p + 1, p)
+        bounds = np.ones(faces.shape[:2], dtype=bool)
+        if kind == "path":
+            # only an end deletion can start above its last vertex
+            for q, first, last in ((0, 1, p), (p, 0, p - 1)):
+                flip = np.flatnonzero(rows[:, first] > rows[:, last])
+                faces[flip, q] = faces[flip, q, ::-1]
+            bounds[:, 1:-1] = not truncation
+    held = bounds.ravel()
+    ids = np.full(held.shape, -1, dtype=np.int64)
+    flat = faces.reshape(-1, faces.shape[-1])
+    ids[held] = _row_index(carriers[p - 1], np.compress(held, flat, axis=0))
+    return faces, bounds, ids.reshape(bounds.shape)
+
+
+def _assemble(kind, g, max_dim, carriers, truncation=False) -> HigherOrderComplex:
+    """The complex on ``carriers`` whose boundary CSR row of each member holds
+    the ascending ids of its faces; dimension-0 rows are empty."""
+    offsets = _offsets(carriers)
+    sizes = [np.zeros(len(carriers[0]), dtype=np.int64)]
+    flat = [np.zeros(0, dtype=np.int64)]
+    for p in range(1, len(carriers)):
+        ids = np.sort(_face_ids(kind, carriers, p, truncation)[2], axis=1)
+        held = ids >= 0
+        sizes.append(held.sum(axis=1))
+        flat.append(ids[held] + offsets[p - 1])
+    indptr = np.zeros(offsets[-1] + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(sizes), out=indptr[1:])
+    return HigherOrderComplex(kind, g, max_dim, carriers, indptr, np.concatenate(flat))
 
 
 # ---------------------------------------------------------------------------
@@ -280,42 +421,26 @@ class _CapCounter:
             )
 
 
-def _faces(kind: str, g: SimpleGraph, boundary_mode: str = "incidence"):
-    """``faces(carrier)``: the canonical carriers one dimension down that bound it.
-
-    Path faces are the one-vertex deletions that remain walks in ``g`` (only
-    the two end deletions under ``"truncation"``); simplex faces are the
-    facets; a cell's faces are a ring's edges, or an edge's endpoints.
-    """
-    skips = boundary_mode == "incidence"
-
-    def faces(c):
-        last = len(c) - 1
-        if kind == "cell" and last > 1:  # a ring is bounded by its edges
-            return [canonical_path((c[q - 1], c[q])) for q in range(last + 1)]
-        return [
-            canonical_path(c[:q] + c[q + 1:]) for q in range(last + 1)
-            # a path keeps an interior deletion only if it is still a walk
-            if kind != "path" or q in (0, last)
-            or skips and g.has_edge(c[q - 1], c[q + 1])
-        ]
-
-    return faces
+def _adjacency(g: SimpleGraph):
+    """(indptr, neighbours): the ascending neighbour lists as one CSR."""
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, g.adjacency), np.int64, g.n), out=indptr[1:])
+    flat = itertools.chain.from_iterable(g.adjacency)
+    return indptr, np.fromiter(flat, np.int64, int(indptr[-1]))
 
 
-def _assemble(kind, g, max_dim, members, faces) -> HigherOrderComplex:
-    """The complex on ``members`` whose boundary CSR row of each member holds
-    the ascending ids of its ``faces``; dimension-0 rows are empty."""
-    offsets = _offsets(members)
-    sizes = [0] * len(members[0])
-    flat = []
-    for p in range(1, len(members)):
-        lower = {c: offsets[p - 1] + i for i, c in enumerate(members[p - 1])}
-        for carrier in members[p]:
-            ids = sorted([lower[f] for f in faces(carrier)])
-            sizes.append(len(ids))
-            flat.extend(ids)
-    return HigherOrderComplex(kind, g, max_dim, members, *_pack(sizes, flat))
+def _edge_rows(g: SimpleGraph) -> np.ndarray:
+    """The edges as rows ``(u, v)``, ``u < v``, in lexicographic order."""
+    return np.array(sorted(g.edges), dtype=np.int64).reshape(-1, 2)
+
+
+def _grow(rows, indptr, nbr):
+    """Each row repeated once per neighbour of its last vertex, and those
+    neighbours in ascending order, so sorted rows stay sorted once extended."""
+    last = rows[:, -1]
+    deg = indptr[last + 1] - indptr[last]
+    first = np.repeat(indptr[last] - np.cumsum(deg) + deg, deg)
+    return rows.repeat(deg, axis=0), nbr[first + np.arange(len(first))]
 
 
 def lift_path_complex(
@@ -335,33 +460,17 @@ def lift_path_complex(
     if boundary_mode not in ("incidence", "truncation"):
         raise ValueError(f"unknown boundary mode {boundary_mode!r}")
     cap = _CapCounter(member_cap)
-    members = [[] for _ in range(max_dim + 1)]
-    for v in range(g.n):
-        members[0].append((v,))
-        cap.add()
-    if max_dim >= 1:
-        in_path = [False] * g.n
-
-        def extend(path):
-            v = path[-1]
-            for w in g.adjacency[v]:
-                if in_path[w]:
-                    continue
-                path.append(w)
-                if path[0] < w:
-                    cap.add()
-                    members[len(path) - 1].append(tuple(path))
-                if len(path) <= max_dim:
-                    in_path[w] = True
-                    extend(path)
-                    in_path[w] = False
-                path.pop()
-
-        for s in range(g.n):
-            in_path[s] = True
-            extend([s])
-            in_path[s] = False
-    return _assemble("path", g, max_dim, members, _faces("path", g, boundary_mode))
+    cap.add(g.n)
+    indptr, nbr = _adjacency(g)
+    walks = np.arange(g.n, dtype=np.int64)[:, None]  # both orientations
+    carriers = [walks]
+    for _ in range(max_dim):
+        prev, nxt = _grow(walks, indptr, nbr)
+        simple = (prev[:, :-1] != nxt[:, None]).all(axis=1)
+        walks = np.column_stack((prev[simple], nxt[simple]))
+        carriers.append(walks[walks[:, 0] < walks[:, -1]])
+        cap.add(len(carriers[-1]))
+    return _assemble("path", g, max_dim, carriers, boundary_mode == "truncation")
 
 
 def lift_clique_complex(
@@ -373,27 +482,23 @@ def lift_clique_complex(
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
     cap = _CapCounter(member_cap)
-    members = [[] for _ in range(max_dim + 1)]
-
-    def extend(clique):
-        v = clique[-1]
-        for w in g.adjacency[v]:
-            if w <= v:
-                continue
-            if all(g.has_edge(u, w) for u in clique):
-                clique.append(w)
-                cap.add()
-                members[len(clique) - 1].append(tuple(clique))
-                if len(clique) <= max_dim:
-                    extend(clique)
-                clique.pop()
-
-    for v in range(g.n):
-        cap.add()
-        members[0].append((v,))
-        if max_dim >= 1:
-            extend([v])
-    return _assemble("simplex", g, max_dim, members, _faces("simplex", g))
+    cap.add(g.n)
+    indptr, nbr = _adjacency(g)
+    edges = _edge_rows(g)
+    cliques = np.arange(g.n, dtype=np.int64)[:, None]
+    carriers = [cliques]
+    for _ in range(max_dim):
+        prev, nxt = _grow(cliques, indptr, nbr)
+        up = nxt > prev[:, -1]
+        prev, nxt = prev[up], nxt[up]
+        # the new vertex must also neighbour every earlier one
+        pairs = np.stack(np.broadcast_arrays(prev[:, :-1], nxt[:, None]), axis=2)
+        hits = _row_index(edges, pairs.reshape(-1, 2)) >= 0
+        clique = hits.reshape(pairs.shape[:2]).all(axis=1)
+        cliques = np.column_stack((prev[clique], nxt[clique]))
+        carriers.append(cliques)
+        cap.add(len(cliques))
+    return _assemble("simplex", g, max_dim, carriers)
 
 
 def lift_ring_complex(
@@ -405,9 +510,8 @@ def lift_ring_complex(
     if max_ring < 3:
         raise ValueError("max_ring must be at least 3")
     cap = _CapCounter(member_cap)
-    verts = [(v,) for v in range(g.n)]
     cap.add(g.n)
-    edges = sorted(g.edges)
+    edges = _edge_rows(g)
     cap.add(len(edges))
     rings = []
 
@@ -433,7 +537,8 @@ def lift_ring_complex(
             if v1 > v0:
                 extend([v0, v1], frozenset())
     rings.sort()
-    return _assemble("cell", g, 2, [verts, edges, rings], _faces("cell", g))
+    verts = np.arange(g.n, dtype=np.int64)[:, None]
+    return _assemble("cell", g, 2, [verts, edges, _rows(rings, 3)])
 
 
 # Every lifting kind, with the name of the structural parameter it takes.
@@ -487,9 +592,9 @@ def cyclic_families(cell: Member) -> CyclicFamily:
 def serialize_complex(c: HigherOrderComplex) -> str:
     lines = [f"PCX v1 kind={c.kind} n={c.n} maxdim={c.max_dim}"]
     gid = 0
-    for p in range(c.max_dim + 1):
-        lines.append(f"dim {p} count {len(c.members_by_dim[p])}")
-        for carrier in c.members_by_dim[p]:
+    for p, members in enumerate(c.members_by_dim):
+        lines.append(f"dim {p} count {len(members)}")
+        for carrier in members:
             lines.append(f"{gid}: " + " ".join(str(v) for v in carrier))
             gid += 1
     lines.append("boundaries")
@@ -574,7 +679,14 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
                     f"member {offsets[p] + i} is not a {_SHAPES[kind]} "
                     "of the dimension-1 members"
                 )
-    faces = _faces(kind, source)  # incidence faces include the truncation ones
+    # a row may hold its incidence faces and must hold its truncation faces
+    # (for simplices and cells the two are the same: every face)
+    carriers = [_rows(ms, p + 1) for p, ms in enumerate(members)]
+    may, must = [None], [None]
+    for p in range(1, max_dim + 1):
+        may.append(_face_ids(kind, carriers, p)[2].tolist())
+        faces, bounds, ids = _face_ids(kind, carriers, p, truncation=True)
+        must.append((faces, np.where(bounds, ids, -2).tolist()))
     rows = [None] * total
     for _ in range(total):
         if pos >= len(lines):
@@ -590,31 +702,34 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
         ids = sorted(int(v) for v in rest.split())
         dim = next(p for p in range(max_dim + 1) if gid < offsets[p + 1])
         lo, hi = offsets[max(dim - 1, 0)], offsets[dim]
-        carrier = members[dim][gid - offsets[dim]]
-        allowed = set(faces(carrier))
+        i = gid - offsets[dim]
+        allowed = {lo + b for b in may[dim][i] if b >= 0} if dim else set()
         for b in ids:
             if not lo <= b < hi:
                 raise SerializationError(
                     f"dangling boundary id {b} for member {gid} (dimension {dim})"
                 )
-            if members[dim - 1][b - lo] not in allowed:
+            if b not in allowed:
                 raise SerializationError(
                     f"boundary id {b} of member {gid} is not a face of its carrier"
                 )
-        if len(set(ids)) != len(ids):
+        held = set(ids)
+        if len(held) != len(ids):
             raise SerializationError(f"repeated boundary id for member {gid}")
-        required = allowed if dim else set()
-        if kind == "path" and dim:  # interior deletions depend on the mode
-            required = {canonical_path(carrier[1:]), canonical_path(carrier[:-1])}
-        missing = required - {members[dim - 1][b - lo] for b in ids}
-        if missing:
-            raise SerializationError(
-                f"boundary of member {gid} lacks its face {min(missing)}"
-            )
+        if dim:
+            faces, required = must[dim]
+            missing = [
+                tuple(faces[i, q].tolist()) for q, b in enumerate(required[i])
+                if b == -1 or b >= 0 and lo + b not in held
+            ]
+            if missing:
+                raise SerializationError(
+                    f"boundary of member {gid} lacks its face {min(missing)}"
+                )
         rows[gid] = ids
         pos += 1
     return HigherOrderComplex(
-        kind, source, max_dim, members,
+        kind, source, max_dim, carriers,
         *_pack([len(r) for r in rows], [b for r in rows for b in r]),
     )
 

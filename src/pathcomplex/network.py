@@ -275,11 +275,12 @@ def forward(
             f"params built for max_dim={params.max_dim}, complex has {c.max_dim}"
         )
     h = [np.asarray(v, dtype=np.float64) for v in feats.values]
+    counts = c.counts()
     for p, block in enumerate(h):
-        if block.shape != (len(c.members_by_dim[p]), d):
+        if block.shape != (counts[p], d):
             raise ValueError(
                 f"feature block at dimension {p} has shape {block.shape}, "
-                f"expected ({len(c.members_by_dim[p])}, {d})"
+                f"expected ({counts[p]}, {d})"
             )
     if params.layers == 0:
         # nothing to propagate, so no classes are needed

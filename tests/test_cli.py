@@ -228,6 +228,21 @@ class TestBench:
         assert "usage error" in err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("methods", ["pcn", "wl1,pcn"])
+    @pytest.mark.parametrize("layers", ["6..3", ","])
+    def test_empty_layer_list_is_a_usage_error(self, capsys, srg_specs, tmp_path,
+                                               methods, layers):
+        spec = srg_specs["SR(16,6,2,2)"]
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(
+            f"{spec.name} {spec.path} {spec.n} {spec.k} {spec.lam} {spec.mu}\n"
+        )
+        code, out, err = run(capsys, "bench", manifest, "--methods", methods,
+                             "--layers", layers, "--output-format", "csv")
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err
+
     def test_empty_manifest_warns_and_succeeds(self, capsys, tmp_path):
         manifest = tmp_path / "m.txt"
         manifest.write_text("# nothing here\n")
@@ -311,6 +326,18 @@ class TestConfig:
         code, _, _ = run(capsys, "test", files["c6"], files["c6"],
                          "--method", "pcn", "--seeds", "0..3,7")
         assert code == 0
+
+    def test_reversed_seed_range_is_a_usage_error(self, capsys, files, tmp_path):
+        code, out, err = run(capsys, "test", files["c6"], files["c6"],
+                             "--method", "pcn", "--seeds", "3..1")
+        assert (code, out) == (1, "")
+        assert "usage error" in err
+        cfg = tmp_path / "cfg"
+        cfg.write_text("seeds = 3..1\n")
+        code, _, err = run(capsys, "test", files["c6"], files["c6"],
+                           "--method", "pcn", "--config", cfg)
+        assert code == 1
+        assert "seeds" in err
 
     def test_missing_input_file(self, capsys):
         code, _, err = run(capsys, "lift", "/does/not/exist.g6")
