@@ -4,11 +4,11 @@ A family is a graph6 file plus its ``(n, k, lambda, mu)`` parameters; every
 graph is validated on load.  :data:`METHODS` says how each method lifts a
 graph and judges a pair: refinement methods (``pwl``, ``swl``, ``cwl``, and
 ``wl1``, the engine on the 1-dimensional path complex) call a pair
-indistinguishable when the stable histograms match; network methods
-(``pcn``, ``cwn``) when the embedding distance falls below epsilon, once per
-seed.  Complexes are lifted and indexed once per graph and shared across
-pairs, seeds, and sweep cells; ``lift_ms`` reports what producing them cost,
-also when they came from the cache.
+indistinguishable when the stable fingerprints are equal, one engine run per
+graph; network methods (``pcn``, ``cwn``) when the embedding distance falls
+below epsilon, once per seed.  Complexes are lifted and indexed once per
+graph and shared across pairs, seeds, and sweep cells; ``lift_ms`` reports
+what producing them cost, also when they came from the cache.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import os
 import platform
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -32,7 +33,7 @@ from .complexes import (
 )
 from .graphs import read_graph6_file
 from .network import NetworkParams, embedding_distance, forward, init_features
-from .refine import WL1_DIM, distinguishes, refine_pair
+from .refine import WL1_DIM, stable_fingerprint
 from .srg import is_strongly_regular
 
 __all__ = [
@@ -128,6 +129,13 @@ class RunConfig:
             raise ValueError(f"layers must be non-negative, got {self.layers}")
         if self.is_network and not self.seeds:
             raise ValueError(f"method {self.method!r} needs a non-empty seed list")
+        if METHODS[self.method].fixed_param is None:
+            # the lift's own check of the parameter this method lifts with
+            kind, param = self.lift_args[:2]
+            if kind == "cell" and param < 3:
+                raise ValueError("max_ring must be at least 3")
+            if param < 0:
+                raise ValueError("max_dim must be non-negative")
 
     @property
     def lift_args(self) -> tuple:
@@ -223,15 +231,14 @@ def parse_manifest(path) -> list:
     return specs
 
 
-def load_family(spec: FamilySpec, validate: bool = True) -> list:
+def load_family(spec: FamilySpec) -> list:
     graphs = read_graph6_file(spec.path)
-    if validate:
-        for i, g in enumerate(graphs):
-            if not is_strongly_regular(g, spec.n, spec.k, spec.lam, spec.mu):
-                raise ValueError(
-                    f"{spec.name}: graph {i} in {spec.path} fails the "
-                    f"({spec.n},{spec.k},{spec.lam},{spec.mu}) parameter check"
-                )
+    for i, g in enumerate(graphs):
+        if not is_strongly_regular(g, spec.n, spec.k, spec.lam, spec.mu):
+            raise ValueError(
+                f"{spec.name}: graph {i} in {spec.path} fails the "
+                f"({spec.n},{spec.k},{spec.lam},{spec.mu}) parameter check"
+            )
     return graphs
 
 
@@ -344,16 +351,11 @@ def run_family(
         report.outcomes = network_outcomes(complexes, pairs, cfg)
         return report
 
-    # deterministic methods: one outcome, seed None
+    # refinement methods: one outcome, seed None; b equal fingerprints make
+    # b(b-1)/2 indistinguishable pairs.  Each job owns one complex's cache.
     t0 = time.monotonic()
-
-    def judge(pair):
-        i, j = pair
-        h1, h2, _ = refine_pair(complexes[i], complexes[j])
-        return not distinguishes(h1, h2)
-
-    verdicts = _map_jobs(judge, pairs, cfg.threads)
-    bad = sum(verdicts)
+    prints = _map_jobs(stable_fingerprint, complexes, cfg.threads) if pairs else ()
+    bad = sum(b * (b - 1) // 2 for b in Counter(prints).values())
     rate = bad / len(pairs) if pairs else 0.0
     report.outcomes.append(
         SeedOutcome(None, len(pairs), bad, rate,

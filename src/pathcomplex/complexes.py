@@ -125,10 +125,9 @@ class HigherOrderComplex:
     of ring cells are padded with -1 to the widest ring.
     """
 
-    def __init__(self, kind, source, max_dim, carriers, indptr, indices):
+    def __init__(self, kind, n, max_dim, carriers, indptr, indices):
         self.kind = kind
-        self.source = source
-        self.n = source.n if source is not None else 0
+        self.n = n
         self.max_dim = max_dim
         self.carriers = carriers
         self.dim_offsets = _offsets(carriers)
@@ -397,7 +396,7 @@ def _assemble(kind, g, max_dim, carriers, truncation=False) -> HigherOrderComple
         flat.append(ids[held] + offsets[p - 1])
     indptr = np.zeros(offsets[-1] + 1, dtype=np.int64)
     np.cumsum(np.concatenate(sizes), out=indptr[1:])
-    return HigherOrderComplex(kind, g, max_dim, carriers, indptr, np.concatenate(flat))
+    return HigherOrderComplex(kind, g.n, max_dim, carriers, indptr, np.concatenate(flat))
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +728,7 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
         rows[gid] = ids
         pos += 1
     return HigherOrderComplex(
-        kind, source, max_dim, carriers,
+        kind, n, max_dim, carriers,
         *_pack([len(r) for r in rows], [b for r in rows for b in r]),
     )
 

@@ -20,10 +20,11 @@ each layer on one representative per class, with the representative's
 boundary row and upper triples remapped to class ids, and sum-pools with
 the class sizes.  The stable coloring comes from
 :func:`pathcomplex.refine.stable_colors`: built on the first forward that
-runs a layer, cached on the complex, and also filled by a reduced-rule
-``refine_pair`` run to stability or ``stable_fingerprint``.  The class plan
-built from it (representatives, sizes, remapped boundary and upper entries)
-is cached on the complex beside it, so each complex pays for both once.
+runs a layer, cached on the complex, and also filled by any reduced-rule
+engine run that reaches stability (``refine_pair``,
+``stable_fingerprint``).  The class plan built from it (representatives,
+sizes, remapped boundary and upper entries) is cached on the complex beside
+it, so each complex pays for both once.
 Low-symmetry complexes, whose classes are about as many as their members,
 gain nothing and pay for the partition once, unless such a run already
 filled it.  A zero-layer forward builds no partition: it pools the features
@@ -31,8 +32,7 @@ it is given.
 
 Each layer allocates little: a segment sum is one ``bincount`` pass over a
 flat (row, column) index, the ELU overwrites the fresh array it is given,
-and the upper messages are gathered and biased in place.  These give the
-same bytes as per-column sums and an out-of-place ELU.
+and the upper messages are gathered and biased in place.
 
 Weights are drawn once from a seeded PCG64 generator, uniform on
 ``[-sqrt(1/fan_in), +sqrt(1/fan_in)]``, in a fixed (layer, dimension, block)

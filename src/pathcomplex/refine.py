@@ -20,8 +20,8 @@ over flat arrays, with no per-member Python work, and results do not
 depend on thread count.
 
 Each complex caches its stable reduced-rule coloring
-(:func:`stable_colors`), which the network's class-level forward reads; a
-reduced-rule run to stability fills it.
+(:func:`stable_colors`), which the network's class-level forward reads; any
+reduced-rule engine run that reaches stability fills it.
 """
 
 from __future__ import annotations
@@ -84,8 +84,13 @@ class _JointRefinement:
     """
 
     def __init__(self, complexes: Sequence[HigherOrderComplex], rule: str):
+        kinds = [c.kind for c in complexes]
+        for kind in kinds[1:]:
+            if kind != kinds[0]:
+                raise ValueError(f"complex kinds differ: {kinds[0]!r} vs {kind!r}")
         if rule not in ("reduced", "full"):
             raise ValueError(f"unknown refinement rule {rule!r}")
+        self.complexes, self.rule = complexes, rule
         self.offsets = [0]
         for c in complexes:
             self.offsets.append(self.offsets[-1] + c.total)
@@ -102,7 +107,6 @@ class _JointRefinement:
         self.colors = np.zeros(self.total, dtype=np.int64)
         self.k = 1 if self.total else 0  # number of distinct colors
         self.rounds = 0
-        self.stable = False  # set once a round leaves the partition unchanged
 
     def _concat_csr(self, complexes, attr):
         srcs, dsts = [], []
@@ -180,12 +184,18 @@ class _JointRefinement:
         return k
 
     def run(self, max_rounds: Optional[int]) -> int:
+        """Refine to stability, or for at most ``max_rounds`` rounds; returns
+        the rounds used.  A reduced-rule run that reaches stability caches
+        each complex's slice of the coloring, its own stable partition since
+        refinement is local, as that complex's :func:`stable_colors`."""
         if max_rounds is None:
             max_rounds = max(self.total, 1)
         while self.rounds < max_rounds:
             k = self.k
             if self.step() == k:
-                self.stable = True
+                if self.rule == "reduced":
+                    for c, lo, hi in zip(self.complexes, self.offsets, self.offsets[1:]):
+                        _keep_stable(c, self.colors[lo:hi], self.k)
                 break
         return self.rounds
 
@@ -215,19 +225,12 @@ def refine_pair(
     """Jointly refine two complexes of the same kind until the partition is stable.
 
     Returns ``(histogram_x, histogram_y, rounds_used)``; the histograms share
-    one round's color ranks so they can be compared directly.
+    one round's color ranks so they can be compared directly.  A
+    reduced-rule run that reaches stability fills both complexes'
+    :func:`stable_colors` caches.
     """
-    if x.kind != y.kind:
-        raise ValueError(f"complex kinds differ: {x.kind!r} vs {y.kind!r}")
     engine = _JointRefinement([x, y], rule)
     rounds = engine.run(max_rounds)
-    if rule == "reduced" and engine.stable:
-        # refinement is local, so each side's slice of the joint stable
-        # coloring is that complex's own stable partition; a network forward
-        # on the same lift (pcn after pwl) then skips a second refinement
-        for side, c in enumerate((x, y)):
-            lo, hi = engine.offsets[side], engine.offsets[side + 1]
-            _keep_stable(c, engine.colors[lo:hi], engine.k)
     return engine.histogram(0), engine.histogram(1), rounds
 
 
@@ -241,8 +244,6 @@ def refinement_trace(
 
     Each snapshot lists x's members first, then y's, in member-id order.
     """
-    if x.kind != y.kind:
-        raise ValueError(f"complex kinds differ: {x.kind!r} vs {y.kind!r}")
     engine = _JointRefinement([x, y], rule)
     out = [engine.colors.copy()]
     for _ in range(rounds):
@@ -262,8 +263,6 @@ def stable_fingerprint(c: HigherOrderComplex, rule: str = "reduced") -> str:
     """
     engine = _JointRefinement([c], rule)
     engine.run(None)
-    if rule == "reduced":
-        _keep_stable(c, engine.colors, engine.k)
     engine.digest.update(np.bincount(engine.colors, minlength=engine.k).tobytes())
     return engine.digest.hexdigest()
 
@@ -271,16 +270,14 @@ def stable_fingerprint(c: HigherOrderComplex, rule: str = "reduced") -> str:
 def stable_colors(c: HigherOrderComplex) -> np.ndarray:
     """Stable reduced-rule color class of every member, cached on the complex.
 
-    Classes are split by dimension and numbered in order of their lowest
-    member id, so the array is the same whichever run filled the cache: this
-    function, :func:`refine_pair` run to stability under the reduced rule, or
-    :func:`stable_fingerprint` under the reduced rule.  The array is shared
-    and read-only.
+    Runs the engine on ``c`` alone if the cache is empty.  Any reduced-rule
+    engine run that reaches stability fills it (:func:`refine_pair`,
+    :func:`stable_fingerprint`, this function); classes are split by
+    dimension and numbered in order of their lowest member id, so the array
+    is the same whichever run filled it.  The array is shared and read-only.
     """
     if c._stable_colors is None:
-        engine = _JointRefinement([c], "reduced")
-        engine.run(None)
-        _keep_stable(c, engine.colors, engine.k)
+        _JointRefinement([c], "reduced").run(None)
     return c._stable_colors
 
 

@@ -1,11 +1,13 @@
 """Benchmark harness: manifests, failure rates, sweeps, timing, reports."""
 
+import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from pathcomplex import bench
+from pathcomplex import bench, refine
 from pathcomplex.bench import (
     FamilySpec,
     ManifestError,
@@ -19,7 +21,14 @@ from pathcomplex.bench import (
     sweep,
     time_lifting,
 )
-from pathcomplex.graphs import encode_graph6, path_graph, random_graph
+from pathcomplex.graphs import (
+    apply_permutation,
+    encode_graph6,
+    path_graph,
+    random_graph,
+    random_permutation,
+)
+from pathcomplex.refine import distinguishes, refine_pair, stable_colors
 
 
 @pytest.fixture()
@@ -67,6 +76,31 @@ class TestRunConfig:
     def test_validate_rejects_each_setting(self, setting, message):
         with pytest.raises(ValueError, match=message):
             RunConfig(method="swl", **setting).validate()
+
+    @pytest.mark.parametrize("method, setting, message", [
+        ("pwl", {"max_dim": -1}, "max_dim must be non-negative"),
+        ("swl", {"max_dim": -1}, "max_dim must be non-negative"),
+        ("pcn", {"max_dim": -1}, "max_dim must be non-negative"),
+        ("cwl", {"max_ring": 2}, "max_ring must be at least 3"),
+        ("cwn", {"max_ring": -1}, "max_ring must be at least 3"),
+    ])
+    def test_validate_rejects_the_lift_parameter(self, method, setting, message):
+        cfg = RunConfig(method=method, seeds=(0,), **setting)
+        with pytest.raises(ValueError) as info:
+            cfg.validate()
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as lifted:
+            cfg.lift(path_graph(4))
+        assert str(lifted.value) == message  # the lift's own message
+
+    @pytest.mark.parametrize("method, setting", [
+        ("wl1", {"max_dim": -1, "max_ring": 2}),  # wl1 fixes its dimension
+        ("pwl", {"max_ring": 2}),
+        ("cwl", {"max_dim": -1}),
+    ])
+    def test_parameters_a_method_does_not_lift_with_are_ignored(self, method,
+                                                                 setting):
+        RunConfig(method=method, seeds=(), **setting).validate()
 
 
 class TestRunFamily:
@@ -175,6 +209,104 @@ class TestRunFamily:
             sr16, RunConfig(method="pcn", layers=4, seeds=(0, 1), threads=4)
         )
         assert serial.rates == threaded.rates
+
+
+def _pairwise_indistinguishable(complexes):
+    """The oracle: pairs that a joint ``refine_pair`` run does not separate."""
+    return sum(
+        not distinguishes(*refine_pair(a, b)[:2])
+        for a, b in itertools.combinations(complexes, 2)
+    )
+
+
+class TestFingerprintBuckets:
+    """Refinement cells count equal stable fingerprints instead of running
+    ``refine_pair`` on every pair."""
+
+    CONFIGS = (
+        RunConfig(method="wl1", seeds=()),
+        RunConfig(method="pwl", max_dim=2, seeds=()),
+        RunConfig(method="pwl", max_dim=2, boundary_mode="truncation", seeds=()),
+        RunConfig(method="swl", max_dim=3, seeds=()),
+        RunConfig(method="cwl", max_ring=4, seeds=()),
+    )
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.method)
+    def test_rates_equal_the_pairwise_oracle(self, srg_specs, cfg):
+        cache = _LiftCache()
+        for spec in srg_specs.values():
+            complexes, _ = cache.get(spec, cfg)
+            expected = _pairwise_indistinguishable(complexes)
+            report = run_family(spec, cfg, cache=cache)
+            assert report.outcomes[0].indistinguishable == expected, spec.name
+
+    @pytest.mark.parametrize("cfg", CONFIGS + (
+        RunConfig(method="pwl", max_dim=3, seeds=()),
+        RunConfig(method="pwl", max_dim=3, boundary_mode="truncation", seeds=()),
+    ), ids=lambda c: f"{c.method}-{c.boundary_mode}-{c.structural_param}")
+    def test_buckets_of_isomorphic_copies(self, sr16, tmp_path, cfg):
+        # relabelled copies give fingerprint buckets of sizes 3 and 2
+        g0, g1 = load_family(sr16)
+        rng = np.random.default_rng(11)
+        graphs = [g0, g1] + [
+            apply_permutation(g, random_permutation(g.n, rng)) for g in (g0, g0, g1)
+        ]
+        path = tmp_path / "copies.g6"
+        path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+        spec = FamilySpec("COPIES", str(path), sr16.n, sr16.k, sr16.lam, sr16.mu)
+        cache = _LiftCache()
+        report = run_family(spec, cfg, cache=cache)
+        expected = _pairwise_indistinguishable(cache.get(spec, cfg)[0])
+        assert report.pairs == 10
+        assert report.outcomes[0].indistinguishable == expected
+        assert expected in (4, 10)  # 3 + 1, or every pair when all collide
+
+    def test_one_engine_run_per_graph_and_no_pair_runs(self, srg_specs,
+                                                       monkeypatch):
+        spec = srg_specs["SR(25,12,5,6)"]
+        cfg = RunConfig(method="pwl", max_dim=2, seeds=())
+        cache = _LiftCache()
+        complexes, _ = cache.get(spec, cfg)
+        runs = []
+
+        class Counted(refine._JointRefinement):
+            def __init__(self, members, rule):
+                runs.append(len(members))
+                super().__init__(members, rule)
+
+        def no_pairs(*args, **kwargs):
+            raise AssertionError("a refinement cell called refine_pair")
+
+        monkeypatch.setattr(refine, "_JointRefinement", Counted)
+        monkeypatch.setattr(refine, "refine_pair", no_pairs)
+        monkeypatch.setattr(bench, "refine_pair", no_pairs, raising=False)
+        report = run_family(spec, cfg, cache=cache)
+        assert report.outcomes[0].indistinguishable == report.pairs == 10
+        assert runs == [1] * len(complexes)
+
+    def test_family_below_two_graphs_runs_no_engine(self, srg_specs,
+                                                    monkeypatch):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("the engine ran on a family without pairs")
+
+        monkeypatch.setattr(refine, "_JointRefinement", no_runs)
+        report = run_family(srg_specs["SR(29,14,6,7)"],
+                            RunConfig(method="pwl", seeds=()))
+        assert report.pairs == 0 and report.rates == [0.0]
+
+    def test_threaded_run_matches_serial_and_fills_every_cache(self, srg_specs):
+        spec = srg_specs["SR(25,12,5,6)"]
+        for cfg in self.CONFIGS:
+            serial = run_family(spec, cfg)
+            cache = _LiftCache()
+            threaded = run_family(spec, dataclasses.replace(cfg, threads=4),
+                                  cache=cache)
+            assert threaded.outcomes[0].indistinguishable == \
+                serial.outcomes[0].indistinguishable
+            assert threaded.rates == serial.rates
+            for c, g in zip(cache.get(spec, cfg)[0], load_family(spec)):
+                assert c._stable_colors is not None
+                assert np.array_equal(c._stable_colors, stable_colors(cfg.lift(g)))
 
 
 class TestSweep:

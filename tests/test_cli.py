@@ -344,6 +344,51 @@ class TestConfig:
         assert code == 2
 
 
+class TestLiftParameter:
+    """A lift parameter the method cannot use exits 1 before any input is read."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("bench", "{manifest}", "--methods", "pwl", "--max-dim", "-1"),
+         "max_dim must be non-negative"),
+        (("bench", "{manifest}", "--methods", "cwl", "--max-ring", "2"),
+         "max_ring must be at least 3"),
+        (("bench", "{missing}", "--methods", "pwl", "--max-dim", "-1"),
+         "max_dim must be non-negative"),
+        (("test", "{missing}", "{missing}", "--method", "pwl", "--max-dim", "-1"),
+         "max_dim must be non-negative"),
+        (("test", "{missing}", "{missing}", "--method", "cwn", "--max-ring", "2"),
+         "max_ring must be at least 3"),
+        (("lift", "{missing}", "--kind", "simplex", "--max-dim", "-1"),
+         "max_dim must be non-negative"),
+        (("lift", "{missing}", "--kind", "cell", "--max-ring", "2"),
+         "max_ring must be at least 3"),
+        (("families", "{missing}", "--max-ring", "2"),
+         "max_ring must be at least 3"),
+    ])
+    def test_bad_lift_parameter_is_a_usage_error(self, capsys, srg_specs,
+                                                 tmp_path, argv, message):
+        spec = srg_specs["SR(16,6,2,2)"]
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(
+            f"{spec.name} {spec.path} {spec.n} {spec.k} {spec.lam} {spec.mu}\n"
+        )
+        paths = {"manifest": manifest, "missing": tmp_path / "missing.g6"}
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize("flags", [
+        ("--method", "wl1", "--max-dim", "-1", "--max-ring", "2"),
+        ("--method", "pwl", "--max-ring", "2"),
+        ("--method", "cwl", "--max-dim", "-1"),
+    ])
+    def test_a_flag_the_method_does_not_lift_with_is_ignored(self, capsys,
+                                                             files, flags):
+        code, out, _ = run(capsys, "test", files["c6"], files["kk"], *flags)
+        assert code == 0
+        assert out.startswith(("DISTINGUISHED", "NOT-DISTINGUISHED"))
+
+
 class TestHelp:
     def test_every_config_key_has_a_flag(self, capsys):
         for sub in ("lift", "test", "bench", "families", "time-lift"):

@@ -119,6 +119,14 @@ class TestRefinePair:
                 lift_path_complex(C6, 2), lift_clique_complex(C6, 2)
             )
 
+    @pytest.mark.parametrize("run", [
+        refine_pair, lambda x, y: refinement_trace(x, y, rounds=1),
+    ])
+    def test_kind_mismatch_message(self, run):
+        with pytest.raises(ValueError) as info:
+            run(lift_path_complex(C6, 2), lift_clique_complex(C6, 2))
+        assert str(info.value) == "complex kinds differ: 'path' vs 'simplex'"
+
     def test_histogram_totals(self):
         a = lift_path_complex(C6, 2)
         b = lift_path_complex(TWO_K3, 2)
