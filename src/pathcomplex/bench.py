@@ -29,6 +29,7 @@ from .complexes import (
     CapacityError,
     DEFAULT_MEMBER_CAP,
     LIFT_PARAMS,
+    check_lift_args,
     lift_complex,
 )
 from .graphs import read_graph6_file
@@ -117,25 +118,14 @@ class RunConfig:
         """Raise ``ValueError`` for any setting the engines cannot run."""
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.boundary_mode not in ("incidence", "truncation"):
-            raise ValueError(f"bad boundary-mode {self.boundary_mode!r}")
+        check_lift_args(*self.lift_args[:3])
+        NetworkParams.check_shape(self.layers, self.hidden_dim, self.embed_dim)
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.member_cap <= 0 or self.threads <= 0:
             raise ValueError("member-cap and threads must be positive")
-        if self.hidden_dim <= 0 or self.embed_dim <= 0:
-            raise ValueError("hidden-dim and embed-dim must be positive")
-        if self.layers < 0:
-            raise ValueError(f"layers must be non-negative, got {self.layers}")
         if self.is_network and not self.seeds:
             raise ValueError(f"method {self.method!r} needs a non-empty seed list")
-        if METHODS[self.method].fixed_param is None:
-            # the lift's own check of the parameter this method lifts with
-            kind, param = self.lift_args[:2]
-            if kind == "cell" and param < 3:
-                raise ValueError("max_ring must be at least 3")
-            if param < 0:
-                raise ValueError("max_dim must be non-negative")
 
     @property
     def lift_args(self) -> tuple:
@@ -296,15 +286,17 @@ def network_outcomes(complexes, pairs, cfg: RunConfig) -> list:
 
     Each seed draws one set of random weights for every complex; under it a
     pair is indistinguishable when its embeddings lie within epsilon.
+    Without pairs nothing is judged, so no network runs.
     """
-    max_dim = complexes[0].max_dim if complexes else cfg.max_dim
+    if not pairs:
+        return [SeedOutcome(seed, 0, 0, 0.0, 0.0) for seed in cfg.seeds]
     feats = [init_features(c, cfg.hidden_dim) for c in complexes]
     outcomes = []
     for seed in cfg.seeds:
         params = NetworkParams.create(
             seed=seed,
             layers=cfg.layers,
-            max_dim=max_dim,
+            max_dim=complexes[0].max_dim,
             hidden_dim=cfg.hidden_dim,
             embed_dim=cfg.embed_dim,
         )
@@ -319,8 +311,7 @@ def network_outcomes(complexes, pairs, cfg: RunConfig) -> list:
             embedding_distance(embeddings[i], embeddings[j]) < cfg.epsilon
             for i, j in pairs
         )
-        rate = bad / len(pairs) if pairs else 0.0
-        outcomes.append(SeedOutcome(seed, len(pairs), bad, rate, fwd_ms))
+        outcomes.append(SeedOutcome(seed, len(pairs), bad, bad / len(pairs), fwd_ms))
     return outcomes
 
 

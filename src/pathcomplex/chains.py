@@ -92,11 +92,11 @@ def signed_boundary(seq: Sequence[int]) -> SignedChain:
 
 def chain_boundary(chain: SignedChain) -> SignedChain:
     """Apply the signed boundary term-wise and cancel."""
-    out = SignedChain()
+    out = {}
     for seq, coeff in chain.terms.items():
-        part = signed_boundary(seq)
-        out = out + SignedChain({s: c * coeff for s, c in part.terms.items()})
-    return out
+        for face, sign in signed_boundary(seq).terms.items():
+            out[face] = out.get(face, 0) + sign * coeff
+    return SignedChain(out)
 
 
 def is_allowed(g: SimpleGraph, seq: Sequence[int]) -> bool:

@@ -35,6 +35,7 @@ from .bench import (
     time_lifting,
 )
 from .complexes import (
+    BOUNDARY_MODES,
     CapacityError,
     SerializationError,
     cyclic_families,
@@ -87,7 +88,7 @@ def int_list(raw: str) -> tuple:
 # the same parser and choices; each flag fills the RunConfig field of its
 # name, and output-format is the one key only the command line reads.
 _SETTINGS = {
-    "boundary-mode": (str, {"choices": ("incidence", "truncation")}),
+    "boundary-mode": (str, {"choices": BOUNDARY_MODES}),
     "member-cap": (int, {}),
     "hidden-dim": (int, {}),
     "embed-dim": (int, {}),

@@ -23,10 +23,11 @@ ring cells shorter than the widest are padded with -1 at the end, which
 sorts before every vertex and so keeps tuple order) and one boundary CSR.
 Liftings enumerate carriers a dimension at a time in numpy: every row is
 repeated once per neighbour of its last vertex and the neighbour appended,
-which keeps the rows in lexicographic order.  One array assembler serves all
-three kinds, and the PCX reader: it builds each row's canonical faces as
-arrays and finds their ids by ``searchsorted`` over packed row keys of the
-dimension below.  The coboundary CSR (a stable argsort of the boundary CSR)
+which keeps the rows in lexicographic order.  Rings grow the same way, as
+induced paths (the working set) until the new vertex closes a chordless
+cycle.  One array assembler serves all three kinds, and the PCX reader: it
+builds each row's canonical faces as arrays and finds their ids by
+``searchsorted`` over packed row keys of the dimension below.  The coboundary CSR (a stable argsort of the boundary CSR)
 and the upper and lower adjacency triples (ordered pairs within each row of
 the two CSRs) are derived from it on first use and cached.
 """
@@ -54,6 +55,8 @@ __all__ = [
     "lift_clique_complex",
     "lift_ring_complex",
     "LIFT_PARAMS",
+    "BOUNDARY_MODES",
+    "check_lift_args",
     "lift_complex",
     "cyclic_families",
     "serialize_complex",
@@ -404,20 +407,32 @@ def _assemble(kind, g, max_dim, carriers, truncation=False) -> HigherOrderComple
 # ---------------------------------------------------------------------------
 
 
-class _CapCounter:
-    __slots__ = ("count", "cap")
+# Every lifting kind, with the name of the structural parameter it takes.
+LIFT_PARAMS = {"path": "max_dim", "simplex": "max_dim", "cell": "max_ring"}
 
-    def __init__(self, cap):
-        self.count = 0
-        self.cap = cap
+# How a path complex bounds its members; the other kinds keep every face.
+BOUNDARY_MODES = ("incidence", "truncation")
 
-    def add(self, k=1):
-        self.count += k
-        if self.count > self.cap:
-            raise CapacityError(
-                f"member count exceeded the cap of {self.cap}; "
-                "lower the lifting dimension or raise the cap"
-            )
+
+def check_lift_args(kind: str, param: int, boundary_mode: str = "incidence"):
+    """Raise ``ValueError`` unless :func:`lift_complex` takes these arguments."""
+    if kind not in LIFT_PARAMS:
+        raise ValueError(f"unknown lifting kind {kind!r}")
+    if kind == "cell" and param < 3:
+        raise ValueError("max_ring must be at least 3")
+    if param < 0:
+        raise ValueError("max_dim must be non-negative")
+    if boundary_mode not in BOUNDARY_MODES:
+        raise ValueError(f"unknown boundary-mode {boundary_mode!r}")
+
+
+def _check_cap(carriers, cap):
+    """Raise :class:`CapacityError` once ``carriers`` hold more than ``cap`` rows."""
+    if sum(map(len, carriers)) > cap:
+        raise CapacityError(
+            f"member count exceeded the cap of {cap}; "
+            "lower the lifting dimension or raise the cap"
+        )
 
 
 def _adjacency(g: SimpleGraph):
@@ -454,22 +469,25 @@ def lift_path_complex(
     still a walk (interior deletions need the skip edge); ``"truncation"``
     keeps only the two end deletions.
     """
-    if max_dim < 0:
-        raise ValueError("max_dim must be non-negative")
-    if boundary_mode not in ("incidence", "truncation"):
-        raise ValueError(f"unknown boundary mode {boundary_mode!r}")
-    cap = _CapCounter(member_cap)
-    cap.add(g.n)
+    check_lift_args("path", max_dim, boundary_mode)
     indptr, nbr = _adjacency(g)
     walks = np.arange(g.n, dtype=np.int64)[:, None]  # both orientations
     carriers = [walks]
+    _check_cap(carriers, member_cap)
     for _ in range(max_dim):
         prev, nxt = _grow(walks, indptr, nbr)
         simple = (prev[:, :-1] != nxt[:, None]).all(axis=1)
         walks = np.column_stack((prev[simple], nxt[simple]))
         carriers.append(walks[walks[:, 0] < walks[:, -1]])
-        cap.add(len(carriers[-1]))
+        _check_cap(carriers, member_cap)
     return _assemble("path", g, max_dim, carriers, boundary_mode == "truncation")
+
+
+def _adjacent(edges, prev, nxt) -> np.ndarray:
+    """``out[i, j]`` is True iff ``prev[i, j]`` and ``nxt[i]`` are adjacent."""
+    nxt = nxt[:, None]
+    pairs = np.stack((np.minimum(prev, nxt), np.maximum(prev, nxt)), axis=2)
+    return (_row_index(edges, pairs.reshape(-1, 2)) >= 0).reshape(prev.shape)
 
 
 def lift_clique_complex(
@@ -478,25 +496,21 @@ def lift_clique_complex(
     member_cap: int = DEFAULT_MEMBER_CAP,
 ) -> HigherOrderComplex:
     """Cliques of size <= max_dim+1 as members; boundaries are the facets."""
-    if max_dim < 0:
-        raise ValueError("max_dim must be non-negative")
-    cap = _CapCounter(member_cap)
-    cap.add(g.n)
+    check_lift_args("simplex", max_dim)
     indptr, nbr = _adjacency(g)
     edges = _edge_rows(g)
     cliques = np.arange(g.n, dtype=np.int64)[:, None]
     carriers = [cliques]
+    _check_cap(carriers, member_cap)
     for _ in range(max_dim):
         prev, nxt = _grow(cliques, indptr, nbr)
         up = nxt > prev[:, -1]
         prev, nxt = prev[up], nxt[up]
         # the new vertex must also neighbour every earlier one
-        pairs = np.stack(np.broadcast_arrays(prev[:, :-1], nxt[:, None]), axis=2)
-        hits = _row_index(edges, pairs.reshape(-1, 2)) >= 0
-        clique = hits.reshape(pairs.shape[:2]).all(axis=1)
+        clique = _adjacent(edges, prev[:, :-1], nxt).all(axis=1)
         cliques = np.column_stack((prev[clique], nxt[clique]))
         carriers.append(cliques)
-        cap.add(len(cliques))
+        _check_cap(carriers, member_cap)
     return _assemble("simplex", g, max_dim, carriers)
 
 
@@ -505,43 +519,40 @@ def lift_ring_complex(
     max_ring: int,
     member_cap: int = DEFAULT_MEMBER_CAP,
 ) -> HigherOrderComplex:
-    """Vertices, edges, and chordless cycles of size 3..max_ring as 2-cells."""
-    if max_ring < 3:
-        raise ValueError("max_ring must be at least 3")
-    cap = _CapCounter(member_cap)
-    cap.add(g.n)
-    edges = _edge_rows(g)
-    cap.add(len(edges))
-    rings = []
+    """Vertices, edges, and chordless cycles of size 3..max_ring as 2-cells.
 
-    def extend(path, blocked):
-        # blocked: vertices adjacent to an interior path vertex (chord makers)
-        v = path[-1]
-        for w in g.adjacency[v]:
-            if w <= path[0] or w in blocked or w in path:
-                continue
-            if g.has_edge(w, path[0]):
-                if path[1] < w:
-                    cap.add()
-                    rings.append(tuple(path) + (w,))
-                continue
-            if len(path) + 1 < max_ring:
-                path.append(w)
-                # v just became an interior vertex; its neighbors would chord
-                extend(path, blocked | set(g.adjacency[v]))
-                path.pop()
-
-    for v0 in range(g.n):
-        for v1 in g.adjacency[v0]:
-            if v1 > v0:
-                extend([v0, v1], frozenset())
-    rings.sort()
+    Induced paths grow from the edges ``(u, v)``, ``u < v``: a row is
+    dropped when its new vertex is on the path, not above the first vertex,
+    or adjacent to an interior one.  A new vertex adjacent to the first
+    ends the path, and is a ring when it lies above the second vertex.  The
+    working set, every induced path of the current length, is never larger
+    than the path lift at that dimension; ``member_cap`` does not count it.
+    Ring rows are padded with -1 to the widest ring (at least 3) and sorted.
+    """
+    check_lift_args("cell", max_ring)
+    indptr, nbr = _adjacency(g)
     verts = np.arange(g.n, dtype=np.int64)[:, None]
-    return _assemble("cell", g, 2, [verts, edges, _rows(rings, 3)])
-
-
-# Every lifting kind, with the name of the structural parameter it takes.
-LIFT_PARAMS = {"path": "max_dim", "simplex": "max_dim", "cell": "max_ring"}
+    edges = _edge_rows(g)
+    _check_cap((verts, edges), member_cap)
+    paths, rings = edges, [np.zeros((0, 3), dtype=np.int64)]
+    for _ in range(3, max_ring + 1):
+        prev, nxt = _grow(paths, indptr, nbr)
+        fresh = (nxt > prev[:, 0]) & (prev[:, 1:] != nxt[:, None]).all(axis=1)
+        prev, nxt = prev[fresh], nxt[fresh]
+        adjacent = _adjacent(edges, prev[:, :-1], nxt)
+        ring = adjacent[:, 0] & ~adjacent[:, 1:].any(axis=1) & (nxt > prev[:, 1])
+        if ring.any():
+            rings.append(np.column_stack((prev[ring], nxt[ring])))
+            _check_cap((verts, edges, *rings), member_cap)
+        induced = ~adjacent.any(axis=1)
+        paths = np.column_stack((prev[induced], nxt[induced]))
+    width = max(r.shape[1] for r in rings)
+    cells = np.concatenate([
+        np.pad(r, ((0, 0), (0, width - r.shape[1])), constant_values=-1)
+        for r in rings
+    ])
+    cells = cells[np.lexsort(cells.T[::-1])]
+    return _assemble("cell", g, 2, [verts, edges, cells])
 
 
 def lift_complex(
@@ -549,13 +560,11 @@ def lift_complex(
     member_cap: int = DEFAULT_MEMBER_CAP,
 ) -> HigherOrderComplex:
     """Lift by kind name; ``boundary_mode`` applies to path complexes only."""
+    check_lift_args(kind, param, boundary_mode)
     if kind == "path":
         return lift_path_complex(g, param, boundary_mode, member_cap)
-    if kind == "simplex":
-        return lift_clique_complex(g, param, member_cap)
-    if kind == "cell":
-        return lift_ring_complex(g, param, member_cap)
-    raise ValueError(f"unknown lifting kind {kind!r}")
+    lift = lift_clique_complex if kind == "simplex" else lift_ring_complex
+    return lift(g, param, member_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +635,7 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
         raise SerializationError(f"unsupported format version {head[1]!r}")
     fields = dict(part.split("=", 1) for part in head[2:])
     kind = fields["kind"]
-    if kind not in ("path", "simplex", "cell"):
+    if kind not in LIFT_PARAMS:
         raise SerializationError(f"unknown kind {kind!r}")
     n = int(fields["n"])
     max_dim = int(fields["maxdim"])

@@ -104,6 +104,14 @@ class NetworkParams:
     projection: tuple = field(default=(), compare=False, repr=False)
 
     @staticmethod
+    def check_shape(layers: int, hidden_dim: int, embed_dim: int):
+        """Raise ``ValueError`` unless a network can have these sizes."""
+        if layers < 0:
+            raise ValueError(f"layers must be non-negative, got {layers}")
+        if hidden_dim <= 0 or embed_dim <= 0:
+            raise ValueError("hidden_dim and embed_dim must be positive")
+
+    @staticmethod
     def create(
         seed: int,
         layers: int,
@@ -111,10 +119,7 @@ class NetworkParams:
         hidden_dim: int = 16,
         embed_dim: int = 32,
     ) -> "NetworkParams":
-        if layers < 0:
-            raise ValueError(f"layers must be non-negative, got {layers}")
-        if hidden_dim <= 0 or embed_dim <= 0:
-            raise ValueError("hidden_dim and embed_dim must be positive")
+        NetworkParams.check_shape(layers, hidden_dim, embed_dim)
         rng = np.random.default_rng(seed)
 
         def draw(fan_in, fan_out):
@@ -156,13 +161,6 @@ class FeatureState:
     """Per-member feature matrices, one block per dimension."""
 
     values: list  # list of (m_p, d) float64 arrays
-
-    @property
-    def hidden_dim(self) -> int:
-        for v in self.values:
-            if v.size:
-                return v.shape[1]
-        return self.values[0].shape[1] if self.values else 0
 
 
 def init_features(c: HigherOrderComplex, hidden_dim: int = 16) -> FeatureState:

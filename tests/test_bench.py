@@ -28,6 +28,7 @@ from pathcomplex.graphs import (
     random_graph,
     random_permutation,
 )
+from pathcomplex.network import NetworkParams
 from pathcomplex.refine import distinguishes, refine_pair, stable_colors
 
 
@@ -83,6 +84,8 @@ class TestRunConfig:
         ("pcn", {"max_dim": -1}, "max_dim must be non-negative"),
         ("cwl", {"max_ring": 2}, "max_ring must be at least 3"),
         ("cwn", {"max_ring": -1}, "max_ring must be at least 3"),
+        ("pwl", {"boundary_mode": "bogus"}, "unknown boundary-mode 'bogus'"),
+        ("cwl", {"boundary_mode": "bogus"}, "unknown boundary-mode 'bogus'"),
     ])
     def test_validate_rejects_the_lift_parameter(self, method, setting, message):
         cfg = RunConfig(method=method, seeds=(0,), **setting)
@@ -92,6 +95,17 @@ class TestRunConfig:
         with pytest.raises(ValueError) as lifted:
             cfg.lift(path_graph(4))
         assert str(lifted.value) == message  # the lift's own message
+
+    @pytest.mark.parametrize("setting", [
+        {"layers": -1}, {"hidden_dim": 0}, {"embed_dim": -1},
+    ])
+    def test_validate_rejects_a_network_shape_as_create_does(self, setting):
+        shape = {"layers": 2, "hidden_dim": 16, "embed_dim": 32, **setting}
+        with pytest.raises(ValueError) as info:
+            RunConfig(method="pcn", seeds=(0,), **setting).validate()
+        with pytest.raises(ValueError) as created:
+            NetworkParams.create(seed=0, max_dim=2, **shape)
+        assert str(info.value) == str(created.value)
 
     @pytest.mark.parametrize("method, setting", [
         ("wl1", {"max_dim": -1, "max_ring": 2}),  # wl1 fixes its dimension
@@ -293,6 +307,18 @@ class TestFingerprintBuckets:
         report = run_family(srg_specs["SR(29,14,6,7)"],
                             RunConfig(method="pwl", seeds=()))
         assert report.pairs == 0 and report.rates == [0.0]
+
+    def test_family_below_two_graphs_runs_no_network(self, srg_specs,
+                                                     monkeypatch):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("the network ran on a family without pairs")
+
+        monkeypatch.setattr(bench, "init_features", no_runs)
+        monkeypatch.setattr(bench, "forward", no_runs)
+        report = run_family(srg_specs["SR(29,14,6,7)"],
+                            RunConfig(method="pcn", seeds=(0, 1)))
+        assert report.outcomes == [bench.SeedOutcome(seed, 0, 0, 0.0, 0.0)
+                                   for seed in (0, 1)]
 
     def test_threaded_run_matches_serial_and_fills_every_cache(self, srg_specs):
         spec = srg_specs["SR(25,12,5,6)"]

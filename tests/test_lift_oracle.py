@@ -25,6 +25,7 @@ from pathcomplex.complexes import (
 )
 from pathcomplex.graphs import (
     SimpleGraph,
+    complete_graph,
     cycle_graph,
     disjoint_union,
     path_graph,
@@ -253,15 +254,22 @@ def test_random_graphs(kind, mode):
 
 @pytest.mark.parametrize("kind, mode", KIND_PARAMS)
 def test_degenerate_graphs(kind, mode):
+    grid = SimpleGraph.from_edges(16, [(v, v + step) for v in range(16)
+                                       for step in (1, 4)
+                                       if v + step < 16 and (step == 4 or v % 4 < 3)])
     graphs = [
         SimpleGraph.from_edges(0, []),
         SimpleGraph.from_edges(1, []),
         SimpleGraph.from_edges(5, [(0, 1), (3, 4)]),
         disjoint_union(cycle_graph(5), path_graph(4)),
+        # long chordless cycles, so some lifts hold no ring as wide as max_ring
+        cycle_graph(9),
+        grid,
+        disjoint_union(cycle_graph(7), complete_graph(4)),
     ]
     for g in graphs:
-        for dim in range(4):
-            check_lift(g, kind, dim + 3 if kind == "cell" else dim, mode)
+        for param in range(3, 11) if kind == "cell" else range(4):
+            check_lift(g, kind, param, mode)
 
 
 def test_keys_wider_than_int64():
