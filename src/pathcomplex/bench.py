@@ -126,6 +126,8 @@ class RunConfig:
             raise ValueError("member-cap and threads must be positive")
         if self.is_network and not self.seeds:
             raise ValueError(f"method {self.method!r} needs a non-empty seed list")
+        for seed in self.seeds:
+            NetworkParams.check_seed(seed)
 
     @property
     def lift_args(self) -> tuple:

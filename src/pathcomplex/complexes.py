@@ -25,11 +25,13 @@ Liftings enumerate carriers a dimension at a time in numpy: every row is
 repeated once per neighbour of its last vertex and the neighbour appended,
 which keeps the rows in lexicographic order.  Rings grow the same way, as
 induced paths (the working set) until the new vertex closes a chordless
-cycle.  One array assembler serves all three kinds, and the PCX reader: it
-builds each row's canonical faces as arrays and finds their ids by
-``searchsorted`` over packed row keys of the dimension below.  The coboundary CSR (a stable argsort of the boundary CSR)
-and the upper and lower adjacency triples (ordered pairs within each row of
-the two CSRs) are derived from it on first use and cached.
+cycle.  Every bulk sort or lookup of rows goes through one lexicographic
+row key, ``_row_keys``.  One array assembler serves all three kinds, and
+the PCX reader: it builds each row's canonical faces as arrays and finds
+their ids among the row keys of the dimension below.  The coboundary CSR
+(a stable argsort of the boundary CSR) and the upper and lower adjacency
+triples (ordered pairs within each row of the two CSRs, sorted by row key)
+are derived from it on first use and cached.
 """
 
 from __future__ import annotations
@@ -153,10 +155,9 @@ class HigherOrderComplex:
         return [_tuples(rows) for rows in self.carriers]
 
     def dim_of(self, gid: int) -> int:
-        for p in range(self.max_dim + 1):
-            if gid < self.dim_offsets[p + 1]:
-                return p
-        raise IndexError(gid)
+        if not 0 <= gid < self.total:
+            raise IndexError(gid)
+        return int(np.searchsorted(self.dim_offsets, gid, "right")) - 1
 
     def carrier_of(self, gid: int) -> tuple:
         p = self.dim_of(gid)
@@ -186,6 +187,8 @@ class HigherOrderComplex:
 
     def boundary_of(self, gid: int) -> np.ndarray:
         """Ascending boundary ids of one member (a view into the CSR)."""
+        if not 0 <= gid < self.total:
+            raise IndexError(gid)
         indptr, indices = self._boundary_csr
         return indices[indptr[gid]:indptr[gid + 1]]
 
@@ -263,7 +266,7 @@ def _pair_triples(indptr, indices):
     src = np.concatenate(srcs)
     tau = np.concatenate(taus)
     delta = np.concatenate(deltas)
-    order = np.lexsort((delta, tau, src))
+    order = np.argsort(_row_keys((src, tau, delta)))
     return src[order], tau[order], delta[order]
 
 
@@ -317,38 +320,33 @@ def _rank(keys, wanted, bound) -> np.ndarray:
     return np.where(hit, pos, -1)
 
 
+def _row_keys(columns) -> np.ndarray:
+    """One int64 key per row of the non-negative int ``columns``: keys
+    order like the rows lexicographically and are equal iff the rows are.
+
+    Columns are packed in turn, ``key * radix + value``.  Before a column
+    could overflow int64, the keys so far are replaced by their dense ranks,
+    so the keys stay exact whatever the width and radix.
+    """
+    keys, bound = 0, 1  # every key is below bound
+    for column in columns:
+        radix = 1 + int(column.max(initial=0))
+        if bound * radix > 2 ** 63:
+            ranks, keys = np.unique(keys, return_inverse=True)
+            bound = len(ranks)
+        keys = keys * radix + column
+        bound *= radix
+    return keys
+
+
 def _row_index(table, queries) -> np.ndarray:
     """The row of ``table`` equal to each row of ``queries``, or -1.
 
     ``table`` holds distinct rows in lexicographic order; both arrays have
-    the same width and hold values >= 0.  Rows are packed column by column
-    into int64 keys, ``key * radix + value``, which keeps lexicographic
-    order.  Before a column could overflow the keys, the table's distinct
-    prefixes so far are numbered densely and the queries' prefixes looked
-    up among them, so the keys stay exact whatever the width and radix.
+    the same width and hold values >= 0.
     """
-    if not len(table):
-        return np.full(len(queries), -1, dtype=np.int64)
-    radix = 1 + int(max(table.max(), queries.max(initial=0)))
-    keys = np.zeros(len(table), dtype=np.int64)
-    wanted = np.zeros(len(queries), dtype=np.int64)
-    found = np.ones(len(queries), dtype=bool)
-    bound = 1  # every key is below it
-    for j in range(table.shape[1]):
-        if bound * radix > 2 ** 63:
-            new = np.ones(len(keys), dtype=bool)
-            new[1:] = keys[1:] != keys[:-1]
-            wanted = _rank(keys[new], wanted, bound)
-            found &= wanted >= 0
-            wanted[~found] = 0
-            keys = np.cumsum(new) - 1
-            bound = int(keys[-1]) + 1
-        keys = keys * radix + table[:, j]
-        wanted = wanted * radix + queries[:, j]
-        bound *= radix
-    ids = _rank(keys, wanted, bound)
-    ids[~found] = -1
-    return ids
+    keys = _row_keys(np.concatenate((table, queries)).T)
+    return _rank(keys[:len(table)], keys[len(table):], int(keys.max(initial=-1)) + 1)
 
 
 def _face_ids(kind, carriers, p, truncation=False):
@@ -551,7 +549,7 @@ def lift_ring_complex(
         np.pad(r, ((0, 0), (0, width - r.shape[1])), constant_values=-1)
         for r in rings
     ])
-    cells = cells[np.lexsort(cells.T[::-1])]
+    cells = cells[np.argsort(_row_keys((cells + 1).T))]  # +1 lifts the padding to 0
     return _assemble("cell", g, 2, [verts, edges, cells])
 
 
@@ -641,7 +639,7 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
     max_dim = int(fields["maxdim"])
     if max_dim < 0 or (kind == "cell" and max_dim > 2):
         raise SerializationError(f"maxdim {max_dim} out of range for kind {kind!r}")
-    members = []
+    members, carriers = [], []
     pos = 1
     expected_gid = 0
     for p in range(max_dim + 1):
@@ -669,11 +667,12 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
             ms.append(carrier)
             expected_gid += 1
             pos += 1
-        if ms != sorted(set(ms)):
+        members.append(ms)
+        carriers.append(_rows(ms, p + 1))
+        if (np.diff(_row_keys((carriers[p] + 1).T)) <= 0).any():
             raise SerializationError(
                 f"dimension {p} members repeat or leave lexicographic order"
             )
-        members.append(ms)
     if pos >= len(lines) or lines[pos] != "boundaries":
         raise SerializationError("missing 'boundaries' section")
     pos += 1
@@ -689,7 +688,6 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
                 )
     # a row may hold its incidence faces and must hold its truncation faces
     # (for simplices and cells the two are the same: every face)
-    carriers = [_rows(ms, p + 1) for p, ms in enumerate(members)]
     may, must = [None], [None]
     for p in range(1, max_dim + 1):
         may.append(_face_ids(kind, carriers, p)[2].tolist())

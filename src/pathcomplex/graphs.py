@@ -143,30 +143,17 @@ def parse_graph6(line: str) -> SimpleGraph:
         raise GraphParseError(
             f"malformed length header: n={n} needs {nbytes} body bytes, got {len(body)}"
         )
-    edges = []
-    bit = 0
-    for i, raw in enumerate(body):
-        val = _g6_check_byte(raw, pos + i)
-        for shift in range(5, -1, -1):
-            if bit >= nbits:
-                if (val >> shift) & 1:
-                    raise GraphParseError(
-                        f"trailing bits set in final graph6 byte at offset {pos + i}"
-                    )
-                continue
-            if (val >> shift) & 1:
-                edges.append(_pair_from_index(bit))
-            bit += 1
+    bits = "".join(f"{_g6_check_byte(raw, pos + i):06b}" for i, raw in enumerate(body))
+    if "1" in bits[nbits:]:
+        raise GraphParseError(
+            f"trailing bits set in final graph6 byte at offset {pos + len(body) - 1}"
+        )
+    # the encoder's order: column v holds rows 0..v-1
+    edges, start = [], 0
+    for v in range(1, n):
+        edges.extend((u, v) for u, b in enumerate(bits[start:start + v]) if b == "1")
+        start += v
     return SimpleGraph.from_edges(n, edges)
-
-
-def _pair_from_index(idx: int) -> tuple:
-    # column-major upper triangle: column v holds v bits for rows 0..v-1
-    v = 1
-    while v * (v - 1) // 2 + v <= idx:
-        v += 1
-    u = idx - v * (v - 1) // 2
-    return (u, v)
 
 
 def encode_graph6(g: SimpleGraph) -> str:

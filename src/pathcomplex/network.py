@@ -112,6 +112,12 @@ class NetworkParams:
             raise ValueError("hidden_dim and embed_dim must be positive")
 
     @staticmethod
+    def check_seed(seed: int):
+        """Raise ``ValueError`` unless ``seed`` can seed the weight generator."""
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+
+    @staticmethod
     def create(
         seed: int,
         layers: int,
@@ -119,6 +125,7 @@ class NetworkParams:
         hidden_dim: int = 16,
         embed_dim: int = 32,
     ) -> "NetworkParams":
+        NetworkParams.check_seed(seed)
         NetworkParams.check_shape(layers, hidden_dim, embed_dim)
         rng = np.random.default_rng(seed)
 

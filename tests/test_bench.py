@@ -435,3 +435,12 @@ class TestReports:
         assert doc["reports"][0]["aggregate"]["mean"] == 0.0
         assert doc["errors"][0]["family"] == "X"
         assert f"numpy {np.__version__}" in doc["environment"]
+
+
+@pytest.mark.parametrize("method", ["pcn", "pwl", "wl1"])
+def test_validate_rejects_a_negative_seed_as_create_does(method):
+    with pytest.raises(ValueError) as info:
+        RunConfig(method=method, seeds=(0, -1)).validate()
+    with pytest.raises(ValueError) as created:
+        NetworkParams.create(seed=-1, layers=2, max_dim=2)
+    assert str(info.value) == str(created.value) == "seed must be non-negative, got -1"

@@ -426,3 +426,24 @@ def test_installed_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "4 3 2 1"
+
+
+@pytest.mark.parametrize("method", ["pcn", "pwl"])
+def test_negative_seed_is_refused_before_any_input_is_read(capsys, tmp_path, method):
+    missing = tmp_path / "missing.g6"  # reading it would exit 2
+    code, out, err = run(capsys, "test", missing, missing, "--method", method,
+                         "--seeds=-1")
+    assert (code, out) == (1, "")
+    assert "seed must be non-negative" in err
+
+
+def test_bench_negative_seed_is_a_usage_error(capsys, srg_specs, tmp_path):
+    spec = srg_specs["SR(16,6,2,2)"]
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(
+        f"{spec.name} {spec.path} {spec.n} {spec.k} {spec.lam} {spec.mu}\n"
+    )
+    code, out, err = run(capsys, "bench", manifest, "--methods", "pcn,pwl",
+                         "--seeds=-1", "--layers", "1", "--output-format", "csv")
+    assert (code, out) == (1, "")
+    assert "seed must be non-negative" in err

@@ -545,3 +545,18 @@ class TestDerivedStructuresOracle:
                     (c.upper_adjacency(), bnd), (c.lower_adjacency(), co)
                 ):
                     assert list(zip(*(t.tolist() for t in triples))) == self.pairs(rows)
+
+
+class TestMemberIdRange:
+    @pytest.mark.parametrize("gid", [-1, -3, -15, 15])
+    def test_ids_outside_the_complex_raise(self, gid):
+        c = lift_path_complex(cycle_graph(5), 2)
+        assert c.total == 15
+        for accessor in (c.dim_of, c.carrier_of, c.member, c.boundary_of):
+            with pytest.raises(IndexError):
+                accessor(gid)
+
+    def test_dim_of_passes_empty_dimensions(self):
+        c = lift_path_complex(path_graph(3), 4)  # dimensions 3 and 4 are empty
+        assert c.counts() == [3, 2, 1, 0, 0]
+        assert [c.dim_of(gid) for gid in range(c.total)] == [0, 0, 0, 1, 1, 2]
