@@ -616,7 +616,7 @@ def deserialize_complex(text: str) -> HigherOrderComplex:
         return _parse_pcx(text)
     except SerializationError:
         raise
-    except (ValueError, KeyError, IndexError) as exc:
+    except (ValueError, KeyError, IndexError, OverflowError) as exc:
         raise SerializationError(
             f"malformed PCX payload ({type(exc).__name__}: {exc})"
         ) from exc
@@ -649,6 +649,10 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
         if len(parts) != 4 or parts[0] != "dim" or int(parts[1]) != p:
             raise SerializationError(f"bad dimension header: {lines[pos]!r}")
         count = int(parts[3])
+        if p == 0 and count != n:
+            # every lift lists each vertex as a member, and nothing sized by
+            # n may be built from a header the members do not back
+            raise SerializationError(f"dim 0 count {count} differs from n={n}")
         pos += 1
         ms = []
         for _ in range(count):

@@ -12,12 +12,16 @@ co-boundary colors and lower-adjacency pairs.
 Colors are dense per-round ranks: a member's new color is the rank of its
 signature among the distinct signatures of the same length, so colors lie
 in ``[0, K)`` after every round and depend only on signature contents (the
-canonical color refinement of Berkholz, Bonsma and Grohe).  Two complexes
+canonical color refinement of Berkholz, Bonsma and Grohe).  A pair enters
+the next signature as its exact code ``neighbor color * K + witness
+color``; only where those codes could overflow the int64 sort keys is it
+ranked among the round's distinct codes instead.  Two complexes
 refined jointly share the ranks, so their stable histograms are directly
 comparable; a complex refined alone gets an exact fingerprint from the
-distinct signatures of every round.  Each round is a handful of numpy sorts
-over flat arrays, with no per-member Python work, and results do not
-depend on thread count.
+distinct signatures of every round.  Each round sorts every relation's
+entries within their rows and ranks the rows of each length with one
+``np.unique``, over flat arrays with no per-member Python work, and results
+do not depend on thread count.
 
 Each complex caches its stable reduced-rule coloring
 (:func:`stable_colors`), which the network's class-level forward reads; any
@@ -79,8 +83,10 @@ class _JointRefinement:
     values.  Rows of one length are contiguous, so a member's new color is
     the rank of its row among the distinct rows of its length, offset by the
     number of distinct rows of every shorter length.  ``digest`` absorbs the
-    row layout and each round's pair tables and distinct rows, which fix
-    what every color names.
+    row layout and each round's distinct rows, which fix what every color
+    names: a row's pair codes name the previous round's colors.  Only a
+    round past the key bound of :func:`_pair_values` ranks its pairs, and
+    then it records their tables too.
     """
 
     def __init__(self, complexes: Sequence[HigherOrderComplex], rule: str):
@@ -158,17 +164,12 @@ class _JointRefinement:
         for src, positions, ids, witness in self.relations:
             values, width = colors[ids], self.k
             if witness is not None:
-                # one value per entry: the rank of its (color, witness color)
-                pairs, values = np.unique(
-                    values * self.k + colors[witness], return_inverse=True
+                values, width, pairs = _pair_values(
+                    values, colors[witness], self.k, self.total
                 )
-                width = pairs.size
-                _record(self.digest, pairs)
-            # No int64 product here overflows: an index array of 2**31
-            # entries would need 16 GB, so the member count N, k <= N and the
-            # entry count stay below 2**31, and the pair codes (below k*k) and
-            # the keys (src < N times width <= max(N, entries)) below 2**62.
-            # src ascending keeps each sorted key in its entry's row.
+                if pairs is not None:
+                    _record(self.digest, pairs)
+            # src ascending keeps each sorted key in its entry's row
             base = src * width
             flat[positions] = np.sort(base + values) - base
         new_colors = np.empty(self.total, dtype=np.int64)
@@ -203,6 +204,34 @@ class _JointRefinement:
         lo, hi = self.offsets[side], self.offsets[side + 1]
         values, counts = np.unique(self.colors[lo:hi], return_counts=True)
         return ColorHistogram({int(v): int(c) for v, c in zip(values, counts)})
+
+
+# Bound on the sort keys ``src * width + value`` of a round.  An index array
+# of 2**31 entries would need 16 GB, so the member count N, k <= N and every
+# relation's entry count stay below 2**31; keys of plain colors (width k) and
+# of ranked pairs (width at most the entry count) are then below 2**62, and
+# pair codes (width k * k) are kept below it by :func:`_pair_values`.
+_KEY_BOUND = 2**62
+
+
+def _pair_values(colors, witness_colors, k, total):
+    """Entry values of a witnessed relation: ``(values, width, pairs)``.
+
+    Each (color, witness color) entry gets the exact code
+    ``color * k + witness color``, below ``width = k * k``, while the
+    largest sort key ``src * width + value < total * k * k`` stays below
+    ``_KEY_BOUND``; ``pairs`` is then None, since the next round's distinct
+    rows name the pairs.  Past the bound the value is the code's rank among
+    the distinct codes, ``width`` their number and ``pairs`` their table,
+    which the digest must record.  The branch depends only on ``total`` and
+    ``k``, which the digest already holds, so equal fingerprint prefixes
+    take equal branches.
+    """
+    codes = colors * k + witness_colors
+    if total * k * k < _KEY_BOUND:
+        return codes, k * k, None
+    pairs, values = np.unique(codes, return_inverse=True)
+    return values, pairs.size, pairs
 
 
 def _join(parts):
@@ -255,11 +284,12 @@ def refinement_trace(
 def stable_fingerprint(c: HigherOrderComplex, rule: str = "reduced") -> str:
     """Label-invariant stable-coloring fingerprint of a single complex.
 
-    A 128-bit blake2b hex digest of every round's distinct signatures and
-    pair tables, which fix what each dense color names, and of the stable
-    color counts.  It is exact: two complexes get equal fingerprints iff
-    :func:`refine_pair` does not distinguish them.  Used to bucket graphs
-    without pairwise runs.
+    A 128-bit blake2b hex digest of every round's distinct signatures,
+    which fix what each dense color names (with the pair tables of any
+    round that ranks its pairs, see :func:`_pair_values`), and of the
+    stable color counts.  It is exact: two complexes get equal fingerprints
+    iff :func:`refine_pair` does not distinguish them.  Used to bucket
+    graphs without pairwise runs.
     """
     engine = _JointRefinement([c], rule)
     engine.run(None)

@@ -1,6 +1,7 @@
 """Lifting transformations, adjacency structure, families, serialization."""
 
 import itertools
+import time
 
 import networkx as nx
 import numpy as np
@@ -448,6 +449,21 @@ class TestSerialization:
         assert old in tail
         with pytest.raises(SerializationError, match="lacks"):
             deserialize_complex(head + "boundaries\n" + tail.replace(old, new))
+
+    def test_header_n_must_match_the_vertex_members(self):
+        # a reader that trusted n would size the source graph by it
+        text = ("PCX v1 kind=path n=100000000000000000000 maxdim=0\n"
+                "dim 0 count 1\n0: 0\nboundaries\n0:\n")
+        start = time.perf_counter()
+        with pytest.raises(SerializationError, match="dim 0 count 1 differs"):
+            deserialize_complex(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_vertex_id_past_int64_raises_serialization_error(self):
+        text = ("PCX v1 kind=path n=100000000000000000000 maxdim=0\n"
+                "dim 0 count 1\n0: 99999999999999999999\nboundaries\n0:\n")
+        with pytest.raises(SerializationError):
+            deserialize_complex(text)
 
     def test_upper_adjacency_survives_roundtrip(self):
         c = lift_path_complex(FIG3B, 3)

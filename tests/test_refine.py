@@ -7,6 +7,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from pathcomplex import refine
 from pathcomplex.complexes import (
     cyclic_families,
     lift_clique_complex,
@@ -23,6 +24,9 @@ from pathcomplex.graphs import (
     random_permutation,
 )
 from pathcomplex.refine import (
+    _JointRefinement,
+    _pair_values,
+    _record,
     distinguishes,
     power_order_check,
     refine_pair,
@@ -89,6 +93,175 @@ def multiset(values):
     for v in values:
         out[v] = out.get(v, 0) + 1
     return tuple(sorted(out.items()))
+
+
+class ReferenceRefinement(_JointRefinement):
+    """The engine with the pair ranking that pair codes replaced.
+
+    Every round ranks each witnessed relation's (color, witness color)
+    entries among their distinct codes with ``np.unique`` and records that
+    table in the digest.
+    """
+
+    def step(self):
+        colors, flat = self.colors, self.flat
+        flat[self.own_pos] = colors
+        for src, positions, ids, witness in self.relations:
+            values, width = colors[ids], self.k
+            if witness is not None:
+                pairs, values = np.unique(
+                    values * self.k + colors[witness], return_inverse=True
+                )
+                width = pairs.size
+                _record(self.digest, pairs)
+            base = src * width
+            flat[positions] = np.sort(base + values) - base
+        new_colors = np.empty(self.total, dtype=np.int64)
+        k = 0
+        for members, lo, hi, width in self.groups:
+            rows = flat[lo:hi].view(np.dtype((np.void, 8 * width)))
+            distinct, inverse = np.unique(rows, return_inverse=True)
+            new_colors[members] = k + inverse
+            k += distinct.size
+            _record(self.digest, distinct)
+        self.colors, self.k = new_colors, k
+        self.rounds += 1
+        return k
+
+
+def same_partition_arrays(a, b):
+    """:func:`same_partition` for large integer arrays."""
+    joint = np.unique(a * (int(b.max(initial=0)) + 1) + b).size
+    return joint == np.unique(a).size == np.unique(b).size
+
+
+def lockstep(complexes, rule):
+    """The engine and the reference refining ``complexes`` jointly, side by
+    side, until the engine's coloring is stable; returns both engines and
+    their colors of every round."""
+    engines = (_JointRefinement(complexes, rule),
+               ReferenceRefinement(complexes, rule))
+    traces = tuple([engine.colors] for engine in engines)
+    while True:
+        k = engines[0].k
+        for engine, trace in zip(engines, traces):
+            engine.step()
+            trace.append(engine.colors)
+        if engines[0].k == k:
+            return engines, traces
+
+
+def pair_outcome(engine, trace, i, j):
+    """Rounds, verdict and sorted histogram counts of complexes ``i`` and
+    ``j`` of a joint run, whose coloring restricted to the two is the pair's
+    own: the rounds are those until that restriction stops splitting."""
+    off = engine.offsets
+    members = np.r_[off[i]:off[i + 1], off[j]:off[j + 1]]
+    sizes = [np.count_nonzero(np.bincount(colors[members])) for colors in trace]
+    rounds = next(t for t in range(1, len(sizes)) if sizes[t] == sizes[t - 1])
+    hx, hy = engine.histogram(i), engine.histogram(j)
+    return (rounds, distinguishes(hx, hy),
+            sorted(hx.counts.values()), sorted(hy.counts.values()))
+
+
+def assert_matches_reference(complexes, rule):
+    """Pair codes against the ``np.unique`` pair ranking: equal partitions
+    in every round up to renaming, and equal rounds, verdicts and sorted
+    histogram counts for every pair of ``complexes``."""
+    (new, ref), (got, want) = lockstep(complexes, rule)
+    assert new.rounds == ref.rounds and new.k == ref.k
+    for t, (g, w) in enumerate(zip(got, want)):
+        assert same_partition_arrays(g, w), (rule, t)
+    for i, j in itertools.combinations(range(len(complexes)), 2):
+        assert pair_outcome(new, got, i, j) == pair_outcome(ref, want, i, j)
+
+
+RANDOM_LIFTS = (
+    lambda g: lift_path_complex(g, 3),
+    lambda g: lift_path_complex(g, 3, boundary_mode="truncation"),
+    lambda g: lift_clique_complex(g, 3),
+    lambda g: lift_ring_complex(g, 5),
+)
+
+
+def random_pairs(seed, trials):
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        n = int(rng.integers(2, 10))
+        g = random_graph(n, float(rng.uniform(0.3, 0.8)), rng)
+        if trial % 3 == 0:
+            h = apply_permutation(g, random_permutation(n, rng))
+        else:
+            h = random_graph(n, float(rng.uniform(0.3, 0.8)), rng)
+        yield g, h
+
+
+class TestPairCodeOracle:
+    """Each round's pair codes against the ``np.unique`` ranking they
+    replaced, kept as :class:`ReferenceRefinement`."""
+
+    def test_srg_families(self, srg_specs):
+        # a family refined jointly is every one of its pairs refined at once
+        from pathcomplex.bench import load_family
+
+        for name, spec in srg_specs.items():
+            lifted = [lift_path_complex(g, 3) for g in load_family(spec)]
+            if len(lifted) < 2:
+                continue
+            assert_matches_reference(lifted, "reduced")
+            if name in ("SR(16,6,2,2)", "SR(26,10,3,4)"):
+                assert_matches_reference(lifted, "full")
+
+    def test_random_pairs_of_every_kind(self):
+        for g, h in random_pairs(43, 18):
+            for lift in RANDOM_LIFTS:
+                for rule in ("reduced", "full"):
+                    assert_matches_reference([lift(g), lift(h)], rule)
+
+    def test_fallback_is_the_reference(self, monkeypatch):
+        # past the key bound the engine ranks pairs as the reference does,
+        # colors and digest alike
+        monkeypatch.setattr(refine, "_KEY_BOUND", 0)
+        for g, h in random_pairs(47, 6):
+            for lift in RANDOM_LIFTS:
+                for rule in ("reduced", "full"):
+                    pair = [lift(g), lift(h)]
+                    new, ref = _JointRefinement(pair, rule), ReferenceRefinement(pair, rule)
+                    for _ in range(4):
+                        new.step()
+                        ref.step()
+                        assert np.array_equal(new.colors, ref.colors)
+                    assert new.digest.digest() == ref.digest.digest()
+
+
+class TestPairValues:
+    """``_pair_values`` codes pairs below the key bound and ranks them past it."""
+
+    @staticmethod
+    def entries(k, size=500, seed=59):
+        rng = np.random.default_rng(seed)
+        return rng.integers(0, k, size), rng.integers(0, k, size)
+
+    def test_both_branches_give_one_partition(self):
+        for k in (1, 3, 40):
+            colors, witness_colors = self.entries(k)
+            codes, width, pairs = _pair_values(colors, witness_colors, k, 10**6)
+            assert pairs is None and width == k * k
+            assert np.array_equal(codes, colors * k + witness_colors)
+            # the least total with total * k * k >= 2**62, and one far past it
+            for total in (-(-2**62 // (k * k)), 2**70):
+                ranks, width, pairs = _pair_values(colors, witness_colors, k, total)
+                assert pairs is not None and width == pairs.size
+                assert np.array_equal(pairs[ranks], codes)
+                assert same_partition_arrays(ranks, codes)
+
+    def test_bound_is_exclusive(self):
+        colors, witness_colors = self.entries(1)
+        assert _pair_values(colors, witness_colors, 1, 2**62 - 1)[2] is None
+        assert _pair_values(colors, witness_colors, 1, 2**62)[2] is not None
+        colors, witness_colors = self.entries(2)
+        assert _pair_values(colors, witness_colors, 2, 2**60 - 1)[2] is None
+        assert _pair_values(colors, witness_colors, 2, 2**60)[2] is not None
 
 
 class TestRefinePair:
