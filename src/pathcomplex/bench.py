@@ -33,7 +33,7 @@ from .complexes import (
     lift_complex,
 )
 from .graphs import read_graph6_file
-from .network import NetworkParams, embedding_distance, forward, init_features
+from .network import NetworkParams, embed, embedding_distance
 from .refine import WL1_DIM, stable_fingerprint
 from .srg import is_strongly_regular
 
@@ -287,12 +287,12 @@ def network_outcomes(complexes, pairs, cfg: RunConfig) -> list:
     :class:`SeedOutcome` per seed of ``cfg``.
 
     Each seed draws one set of random weights for every complex; under it a
-    pair is indistinguishable when its embeddings lie within epsilon.
+    pair is indistinguishable when the :func:`~pathcomplex.network.embed`
+    embeddings (of each complex's initial features) lie within epsilon.
     Without pairs nothing is judged, so no network runs.
     """
     if not pairs:
         return [SeedOutcome(seed, 0, 0, 0.0, 0.0) for seed in cfg.seeds]
-    feats = [init_features(c, cfg.hidden_dim) for c in complexes]
     outcomes = []
     for seed in cfg.seeds:
         params = NetworkParams.create(
@@ -304,7 +304,7 @@ def network_outcomes(complexes, pairs, cfg: RunConfig) -> list:
         )
         t0 = time.monotonic()
         embeddings = _map_jobs(
-            lambda i: forward(complexes[i], feats[i], params),
+            lambda i: embed(complexes[i], params),
             list(range(len(complexes))),
             cfg.threads,
         )

@@ -127,7 +127,9 @@ class HigherOrderComplex:
     """Carrier arrays per dimension plus one boundary CSR, the only stored incidence.
 
     ``carriers[p]`` holds one row per dimension-p member in id order; rows
-    of ring cells are padded with -1 to the widest ring.
+    of ring cells are padded with -1 to the widest ring.  The boundary CSR
+    and the indexes built from it on first use (co-boundary CSR, upper and
+    lower triples) are read-only arrays, read in place by their users.
     """
 
     def __init__(self, kind, n, max_dim, carriers, indptr, indices):
@@ -137,7 +139,7 @@ class HigherOrderComplex:
         self.carriers = carriers
         self.dim_offsets = _offsets(carriers)
         self.total = self.dim_offsets[-1]
-        self._boundary_csr = (indptr, indices)
+        self._boundary_csr = _read_only(indptr, indices)
         self._coboundary_csr = None
         self._upper_flat = None
         self._lower_flat = None
@@ -207,7 +209,7 @@ class HigherOrderComplex:
             order = np.argsort(indices, kind="stable")
             co_indptr = np.zeros(self.total + 1, dtype=np.int64)
             np.cumsum(np.bincount(indices, minlength=self.total), out=co_indptr[1:])
-            self._coboundary_csr = (co_indptr, rows[order])
+            self._coboundary_csr = _read_only(co_indptr, rows[order])
         return self._coboundary_csr
 
     def upper_adjacency(self):
@@ -217,13 +219,13 @@ class HigherOrderComplex:
         per witness.
         """
         if self._upper_flat is None:
-            self._upper_flat = _pair_triples(*self.boundary_csr())
+            self._upper_flat = _read_only(*_pair_triples(*self.boundary_csr()))
         return self._upper_flat
 
     def lower_adjacency(self):
         """Flat witness triples (src, tau, delta) through shared boundaries."""
         if self._lower_flat is None:
-            self._lower_flat = _pair_triples(*self.coboundary_csr())
+            self._lower_flat = _read_only(*_pair_triples(*self.coboundary_csr()))
         return self._lower_flat
 
     # -- comparisons -----------------------------------------------------
@@ -244,6 +246,15 @@ class HigherOrderComplex:
             f"HigherOrderComplex(kind={self.kind!r}, n={self.n}, "
             f"max_dim={self.max_dim}, counts={self.counts()})"
         )
+
+
+def _read_only(*arrays) -> tuple:
+    """``arrays``, marked read-only: the cached indexes are shared by
+    threads, the refinement engine and the network, which read them in
+    place."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _pair_triples(indptr, indices):

@@ -28,7 +28,10 @@ it, so each complex pays for both once.
 Low-symmetry complexes, whose classes are about as many as their members,
 gain nothing and pay for the partition once, unless such a run already
 filled it.  A zero-layer forward builds no partition: it pools the features
-it is given.
+it is given.  ``embed(c, params)`` is the forward of ``c``'s own
+``init_features``, byte for byte, with those features built per class from
+the class plan, so it allocates no member-size feature array and needs no
+check that they are constant on the classes.
 
 Each layer allocates little: a segment sum is one ``bincount`` pass over a
 flat (row, column) index, the ELU overwrites the fresh array it is given,
@@ -59,6 +62,7 @@ __all__ = [
     "FeatureState",
     "init_features",
     "forward",
+    "embed",
     "embedding_distance",
 ]
 
@@ -261,6 +265,13 @@ def _segment_sum(values: np.ndarray, src: np.ndarray, n_out: int) -> np.ndarray:
     return out.astype(np.float64, copy=False).reshape(n_out, width)
 
 
+def _check_max_dim(c: HigherOrderComplex, params: NetworkParams):
+    if c.max_dim != params.max_dim:
+        raise ValueError(
+            f"params built for max_dim={params.max_dim}, complex has {c.max_dim}"
+        )
+
+
 def forward(
     c: HigherOrderComplex,
     feats: FeatureState,
@@ -275,10 +286,7 @@ def forward(
     on ``c``.
     """
     d = params.hidden_dim
-    if c.max_dim != params.max_dim:
-        raise ValueError(
-            f"params built for max_dim={params.max_dim}, complex has {c.max_dim}"
-        )
+    _check_max_dim(c, params)
     h = [np.asarray(v, dtype=np.float64) for v in feats.values]
     counts = c.counts()
     for p, block in enumerate(h):
@@ -298,6 +306,37 @@ def forward(
                 "color classes"
             )
         h[p] = h[p][cls.rep]
+    return _propagate(c, classes, h, params)
+
+
+def embed(c: HigherOrderComplex, params: NetworkParams) -> np.ndarray:
+    """``forward(c, init_features(c, params.hidden_dim), params)``, byte for
+    byte, with no member-size feature array.
+
+    The initial features are built per stable class from the cached class
+    plan: each representative's boundary row is summed in entry order, as
+    :func:`init_features` sums it, so they need no contract check.  A
+    zero-layer call is that forward, which pools member-level features.
+    """
+    if params.layers == 0:
+        return forward(c, init_features(c, params.hidden_dim), params)
+    _check_max_dim(c, params)
+    classes = _class_incidence(c)
+    column = np.ones(classes[0].rep.size)
+    h = [np.ones((column.size, params.hidden_dim))]
+    for cls in classes[1:]:
+        src, faces = cls.boundary
+        # the cast matters only for an empty dimension, whose bincount is int
+        column = np.bincount(src, weights=column[faces],
+                             minlength=cls.rep.size).astype(np.float64, copy=False)
+        h.append(np.repeat(column[:, None], params.hidden_dim, axis=1))
+    return _propagate(c, classes, h, params)
+
+
+def _propagate(c: HigherOrderComplex, classes: tuple, h: list,
+               params: NetworkParams) -> np.ndarray:
+    """The layers on the class-level features ``h``, then the readout."""
+    d = params.hidden_dim
     for t in range(params.layers):
         new_h = []
         for p, cls in enumerate(classes):

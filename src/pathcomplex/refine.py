@@ -23,6 +23,13 @@ entries within their rows and ranks the rows of each length with one
 ``np.unique``, over flat arrays with no per-member Python work, and results
 do not depend on thread count.
 
+The engine reads every relation in place from each complex's cached,
+read-only index (boundary and co-boundary CSR, upper and lower triples),
+indexing that complex's slice of the joint coloring, so it owns only the
+signature rows and one slot per entry.  A round sorts a relation's entries
+by one in-place key, ``member * width + value``, and takes the values back
+as the keys modulo ``width``.
+
 Each complex caches its stable reduced-rule coloring
 (:func:`stable_colors`), which the network's class-level forward reads; any
 reduced-rule engine run that reaches stability fills it.
@@ -32,7 +39,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -75,8 +82,35 @@ def distinguishes(hist_a: ColorHistogram, hist_b: ColorHistogram) -> bool:
     return hist_a.counts != hist_b.counts
 
 
+class _Entries(NamedTuple):
+    """One complex's entries of one relation, read in place from its index.
+
+    The complex's members are ``lo:hi`` of the joint coloring, and its
+    members own ``lens`` entries each, in ascending member order.  Entry
+    ``e`` reads the complex's member ``ids[e]``, and with it the witness
+    ``witness[e]`` for a pair relation; its sorted value goes to
+    ``flat[positions[e]]``.  ``ids`` and ``witness`` are the complex's own
+    cached arrays, which the engine never writes.
+    """
+
+    lo: int
+    hi: int
+    lens: np.ndarray
+    ids: np.ndarray
+    witness: Optional[np.ndarray]
+    positions: np.ndarray
+
+    def base(self, width: int) -> np.ndarray:
+        """A fresh array of each entry's member times ``width``."""
+        return np.repeat(np.arange(self.lens.size, dtype=np.int64) * width, self.lens)
+
+
 class _JointRefinement:
-    """Refinement over the concatenated member sets of one or more complexes.
+    """Refinement of one or more complexes side by side, over a joint coloring.
+
+    Each complex's members form one slice ``lo:hi`` of the coloring, and each
+    relation is read in place from the complex's cached index, so the engine
+    owns only the signature rows, their slots and each entry's slot.
 
     Each round writes every member's signature as one int64 row in a static
     layout: its color, then per relation the entry count and the sorted entry
@@ -101,39 +135,19 @@ class _JointRefinement:
         for c in complexes:
             self.offsets.append(self.offsets[-1] + c.total)
         self.total = self.offsets[-1]
-        relations = [
-            self._concat_csr(complexes, "boundary_csr"),
-            self._concat_triples(complexes, "upper_adjacency"),
-        ]
+        names = ["boundary_csr", "upper_adjacency"]
         if rule == "full":
-            relations.append(self._concat_csr(complexes, "coboundary_csr"))
-            relations.append(self._concat_triples(complexes, "lower_adjacency"))
+            names += ["coboundary_csr", "lower_adjacency"]
         self.digest = hashlib.blake2b(digest_size=16)
-        self._build_layout(relations)
+        self._build_layout([[_read(c, name) for c in complexes] for name in names])
         self.colors = np.zeros(self.total, dtype=np.int64)
         self.k = 1 if self.total else 0  # number of distinct colors
         self.rounds = 0
 
-    def _concat_csr(self, complexes, attr):
-        srcs, dsts = [], []
-        for off, c in zip(self.offsets, complexes):
-            indptr, indices = getattr(c, attr)()
-            lens = np.diff(indptr)
-            srcs.append(np.repeat(np.arange(off, off + c.total, dtype=np.int64), lens))
-            dsts.append(indices + off if off else indices)
-        return _join(srcs), _join(dsts), None
-
-    def _concat_triples(self, complexes, attr):
-        parts = [[], [], []]
-        for off, c in zip(self.offsets, complexes):
-            for part, arr in zip(parts, getattr(c, attr)()):
-                part.append(arr + off if off else arr)
-        return tuple(_join(part) for part in parts)
-
     def _build_layout(self, relations):
-        """Static row slots; ``relations`` are (src, ids, witness ids or None)
-        with ``src`` ascending."""
-        counts = [np.bincount(src, minlength=self.total) for src, _, _ in relations]
+        """Static row slots; ``relations`` hold one (lens, ids, witness ids
+        or None) per complex, from :func:`_read`."""
+        counts = [np.concatenate([lens for lens, _, _ in parts]) for parts in relations]
         length = 1 + len(relations) + sum(counts)
         order = np.argsort(length, kind="stable")
         starts = np.empty(self.total, dtype=np.int64)
@@ -141,12 +155,16 @@ class _JointRefinement:
         self.flat = np.zeros(int(length.sum()), dtype=np.int64)
         self.own_pos = starts
         cursor = starts + 1
-        self.relations = []
-        for (src, ids, witness), cnt in zip(relations, counts):
+        self.relations = []  # per relation, one _Entries per complex
+        for parts, cnt in zip(relations, counts):
             self.flat[cursor] = cnt  # static count prefix
-            first = np.cumsum(cnt) - cnt  # each member's first entry
-            positions = cursor[src] + 1 + np.arange(src.size) - first[src]
-            self.relations.append((src, positions, ids, witness))
+            entries = []
+            for (lens, ids, witness), lo, hi in zip(parts, self.offsets, self.offsets[1:]):
+                # a member's first entry goes to the slot after its count
+                positions = np.repeat(cursor[lo:hi] + 1 - (np.cumsum(lens) - lens), lens)
+                positions += np.arange(positions.size)
+                entries.append(_Entries(lo, hi, lens, ids, witness, positions))
+            self.relations.append(entries)
             cursor = cursor + 1 + cnt
         self.groups = []  # (members, flat start, flat end, row width)
         lo = m_lo = 0
@@ -159,19 +177,31 @@ class _JointRefinement:
 
     def step(self) -> int:
         """One refinement round; returns the number of distinct colors after it."""
-        colors, flat = self.colors, self.flat
+        colors, flat, k = self.colors, self.flat, self.k
         flat[self.own_pos] = colors
-        for src, positions, ids, witness in self.relations:
-            values, width = colors[ids], self.k
-            if witness is not None:
-                values, width, pairs = _pair_values(
-                    values, colors[witness], self.k, self.total
-                )
-                if pairs is not None:
-                    _record(self.digest, pairs)
-            # src ascending keeps each sorted key in its entry's row
-            base = src * width
-            flat[positions] = np.sort(base + values) - base
+        for parts in self.relations:
+            width, ranked = k, None
+            if parts[0].witness is not None:
+                width = k * k
+                if not _codes_fit(k, self.total):
+                    width, ranked = self._rank_pairs(parts)
+            for i, e in enumerate(parts):
+                # two live entry-sized arrays: the sort keys and one gather
+                # (np.take would buffer, and copy the read-only indexes)
+                key = e.base(width)
+                if ranked is not None:
+                    key += ranked[i]
+                else:
+                    own = colors[e.lo:e.hi]
+                    if e.witness is not None:  # the pair code
+                        key += own[e.witness]
+                        own = own * k
+                    key += own[e.ids]
+                # members ascend in entry order, so each sorted key stays in
+                # its entry's row, and every value is below width
+                key.sort()
+                key %= width
+                flat[e.positions] = key
         new_colors = np.empty(self.total, dtype=np.int64)
         k = 0
         for members, lo, hi, width in self.groups:
@@ -183,6 +213,19 @@ class _JointRefinement:
         self.colors, self.k = new_colors, k
         self.rounds += 1
         return k
+
+    def _rank_pairs(self, parts):
+        """Past the key bound: the ranks of every complex's pair codes among
+        the relation's distinct codes, as ``(width, ranks per complex)``;
+        the digest records the table once per relation."""
+        colors = self.colors
+        values, width, pairs = _pair_values(
+            np.concatenate([colors[e.lo:e.hi][e.ids] for e in parts]),
+            np.concatenate([colors[e.lo:e.hi][e.witness] for e in parts]),
+            self.k, self.total,
+        )
+        _record(self.digest, pairs)
+        return width, np.split(values, np.cumsum([e.ids.size for e in parts[:-1]]))
 
     def run(self, max_rounds: Optional[int]) -> int:
         """Refine to stability, or for at most ``max_rounds`` rounds; returns
@@ -206,37 +249,51 @@ class _JointRefinement:
         return ColorHistogram({int(v): int(c) for v, c in zip(values, counts)})
 
 
+def _read(c: HigherOrderComplex, name: str):
+    """``c``'s cached relation ``name`` in place, as (entries per member,
+    ids, witness ids or None); a CSR's rows and the triples' sources
+    ascend."""
+    index = getattr(c, name)()
+    if len(index) == 2:  # (indptr, indices)
+        return np.diff(index[0]), index[1], None
+    src, ids, witness = index
+    return np.bincount(src, minlength=c.total), ids, witness
+
+
 # Bound on the sort keys ``src * width + value`` of a round.  An index array
 # of 2**31 entries would need 16 GB, so the member count N, k <= N and every
 # relation's entry count stay below 2**31; keys of plain colors (width k) and
 # of ranked pairs (width at most the entry count) are then below 2**62, and
-# pair codes (width k * k) are kept below it by :func:`_pair_values`.
+# pair codes (width k * k) are kept below it by :func:`_codes_fit`.
 _KEY_BOUND = 2**62
+
+
+def _codes_fit(k, total):
+    """True while pair codes keep the largest sort key of ``total`` joint
+    members, ``src * k * k + code < total * k * k``, below ``_KEY_BOUND``.
+
+    The branch depends only on ``total`` and ``k``, which the digest already
+    holds, so equal fingerprint prefixes take equal branches.
+    """
+    return total * k * k < _KEY_BOUND
 
 
 def _pair_values(colors, witness_colors, k, total):
     """Entry values of a witnessed relation: ``(values, width, pairs)``.
 
     Each (color, witness color) entry gets the exact code
-    ``color * k + witness color``, below ``width = k * k``, while the
-    largest sort key ``src * width + value < total * k * k`` stays below
-    ``_KEY_BOUND``; ``pairs`` is then None, since the next round's distinct
-    rows name the pairs.  Past the bound the value is the code's rank among
-    the distinct codes, ``width`` their number and ``pairs`` their table,
-    which the digest must record.  The branch depends only on ``total`` and
-    ``k``, which the digest already holds, so equal fingerprint prefixes
-    take equal branches.
+    ``color * k + witness color``, below ``width = k * k``, while
+    :func:`_codes_fit`; ``pairs`` is then None, since the next round's
+    distinct rows name the pairs.  Past the bound the value is the code's
+    rank among the distinct codes, ``width`` their number and ``pairs``
+    their table, which the digest must record.  The engine writes the codes
+    in place and calls this past the bound, with every complex's entries.
     """
     codes = colors * k + witness_colors
-    if total * k * k < _KEY_BOUND:
+    if _codes_fit(k, total):
         return codes, k * k, None
     pairs, values = np.unique(codes, return_inverse=True)
     return values, pairs.size, pairs
-
-
-def _join(parts):
-    """One array from per-complex parts; a single part is used as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _record(digest, table):

@@ -313,8 +313,7 @@ class TestFingerprintBuckets:
         def no_runs(*args, **kwargs):
             raise AssertionError("the network ran on a family without pairs")
 
-        monkeypatch.setattr(bench, "init_features", no_runs)
-        monkeypatch.setattr(bench, "forward", no_runs)
+        monkeypatch.setattr(bench, "embed", no_runs)
         report = run_family(srg_specs["SR(29,14,6,7)"],
                             RunConfig(method="pcn", seeds=(0, 1)))
         assert report.outcomes == [bench.SeedOutcome(seed, 0, 0, 0.0, 0.0)

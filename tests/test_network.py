@@ -365,6 +365,25 @@ class TestClassLevelForward:
         for e in embeddings[1:]:
             assert np.array_equal(e, embeddings[0])
 
+    def test_embed_is_forward_of_init_features(self, srg_specs):
+        for i, c in enumerate(self.complexes(srg_specs)):
+            for layers in range(5):
+                params = NetworkParams.create(seed=i, layers=layers, max_dim=c.max_dim)
+                want = forward(c, init_features(c), params)
+                assert network.embed(c, params).tobytes() == want.tobytes()
+
+    def test_embed_builds_no_member_features(self, monkeypatch):
+        c = lift_path_complex(cycle_graph(6), 3)
+        want = forward(c, init_features(c), NetworkParams.create(3, 2, max_dim=3))
+
+        def member_level(*args):
+            raise AssertionError("init_features called")
+
+        monkeypatch.setattr(network, "init_features", member_level)
+        assert np.array_equal(network.embed(c, NetworkParams.create(3, 2, max_dim=3)), want)
+        with pytest.raises(ValueError, match="params built for max_dim=2"):
+            network.embed(c, NetworkParams.create(3, 2, max_dim=2))
+
     def test_colors_built_on_first_forward_with_a_layer(self):
         c = lift_path_complex(cycle_graph(6), 3)
         forward(c, init_features(c), NetworkParams.create(0, layers=0, max_dim=3))

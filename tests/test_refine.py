@@ -1,6 +1,8 @@
 """Color refinement: the engine, its invariants, and expressivity ordering."""
 
+import hashlib
 import itertools
+import tracemalloc
 import warnings
 
 import networkx as nx
@@ -106,16 +108,19 @@ class ReferenceRefinement(_JointRefinement):
     def step(self):
         colors, flat = self.colors, self.flat
         flat[self.own_pos] = colors
-        for src, positions, ids, witness in self.relations:
-            values, width = colors[ids], self.k
-            if witness is not None:
-                pairs, values = np.unique(
-                    values * self.k + colors[witness], return_inverse=True
-                )
+        for parts in self.relations:  # one per complex
+            values = [colors[e.lo:e.hi][e.ids] for e in parts]
+            width = self.k
+            if parts[0].witness is not None:
+                codes = np.concatenate([v * self.k + colors[e.lo:e.hi][e.witness]
+                                        for v, e in zip(values, parts)])
+                pairs, ranks = np.unique(codes, return_inverse=True)
                 width = pairs.size
                 _record(self.digest, pairs)
-            base = src * width
-            flat[positions] = np.sort(base + values) - base
+                values = np.split(ranks, np.cumsum([v.size for v in values[:-1]]))
+            for e, v in zip(parts, values):
+                base = np.repeat(np.arange(e.hi - e.lo), e.lens) * width
+                flat[e.positions] = np.sort(base + v) - base
         new_colors = np.empty(self.total, dtype=np.int64)
         k = 0
         for members, lo, hi, width in self.groups:
@@ -538,6 +543,80 @@ class TestFingerprint:
                     prints = {id(c): stable_fingerprint(c, rule) for c in pair}
                     outcomes.add(check(*pair, rule, prints))
         assert outcomes == {True, False}
+
+
+class TestIndexesReadInPlace:
+    """The engine reads each complex's four cached relations in place."""
+
+    RELATIONS = ("boundary_csr", "upper_adjacency", "coboundary_csr",
+                 "lower_adjacency")
+
+    @staticmethod
+    def pair(srg_specs):
+        from pathcomplex.bench import load_family
+
+        return [lift_path_complex(g, 3)
+                for g in load_family(srg_specs["SR(16,6,2,2)"])[:2]]
+
+    def indexes(self, pair):
+        return [a for c in pair for name in self.RELATIONS
+                for a in getattr(c, name)()]
+
+    def test_indexes_are_read_only_and_kept(self, srg_specs):
+        pair = self.pair(srg_specs)
+        arrays = self.indexes(pair)
+        before = [a.copy() for a in arrays]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = -1
+        for rule in ("reduced", "full"):
+            refine_pair(*pair, rule=rule)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+
+    def test_full_rule_peak_memory_near_the_indexes(self, srg_specs):
+        # the engine owns the signature rows and one slot per entry; it
+        # copies no relation (numpy reports its buffers to tracemalloc)
+        pair = self.pair(srg_specs)
+        index_bytes = sum(a.nbytes for a in self.indexes(pair))
+        tracemalloc.start()
+        try:
+            refine_pair(*pair, rule="full")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * index_bytes, peak / index_bytes
+
+
+class TestGoldenOutputs:
+    """Fingerprint digests and per-round joint colors, pinned byte for byte."""
+
+    SHA256 = "683d858b4d5f78a91ab1000f36c00b718dd3262c35ad42a44dc8c65e2ec19d54"
+
+    def test_digests_and_traces_are_pinned(self, srg_specs):
+        from pathcomplex.bench import load_family
+
+        out = hashlib.sha256()
+
+        def absorb(a, b):
+            for rule in ("reduced", "full"):
+                for c in (a, b):
+                    out.update(stable_fingerprint(c, rule).encode())
+                for colors in refinement_trace(a, b, 4, rule):
+                    out.update(colors.tobytes())
+
+        for name in ("SR(16,6,2,2)", "SR(25,12,5,6)", "SR(26,10,3,4)"):
+            absorb(*(lift_path_complex(g, 3)
+                     for g in load_family(srg_specs[name])[:2]))
+        rng = np.random.default_rng(61)
+        for _ in range(6):
+            n = int(rng.integers(4, 9))
+            g, h = (random_graph(n, float(rng.uniform(0.3, 0.8)), rng)
+                    for _ in range(2))
+            for lift in (lambda x: lift_clique_complex(x, 3),
+                         lambda x: lift_ring_complex(x, 5),
+                         lambda x: lift_path_complex(x, 3, boundary_mode="truncation")):
+                absorb(lift(g), lift(h))
+        assert out.hexdigest() == self.SHA256
 
 
 class TestStableColorCache:
