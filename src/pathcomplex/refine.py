@@ -19,9 +19,12 @@ ranked among the round's distinct codes instead.  Two complexes
 refined jointly share the ranks, so their stable histograms are directly
 comparable; a complex refined alone gets an exact fingerprint from the
 distinct signatures of every round.  Each round sorts every relation's
-entries within their rows and ranks the rows of each length with one
-``np.unique``, over flat arrays with no per-member Python work, and results
-do not depend on thread count.
+entries within their rows and ranks the rows of each length, over flat
+arrays with no per-member Python work, and results do not depend on thread
+count.  A large group of rows is ranked by a hash: rows of one hash form a
+class, every row is checked against its class's representative, and only
+the distinct representatives are sorted, so the ranks stay the byte order
+of the rows that a sort of every row gives.
 
 The engine reads every relation in place from each complex's cached,
 read-only index (boundary and co-boundary CSR, upper and lower triples),
@@ -115,12 +118,13 @@ class _JointRefinement:
     Each round writes every member's signature as one int64 row in a static
     layout: its color, then per relation the entry count and the sorted entry
     values.  Rows of one length are contiguous, so a member's new color is
-    the rank of its row among the distinct rows of its length, offset by the
-    number of distinct rows of every shorter length.  ``digest`` absorbs the
-    row layout and each round's distinct rows, which fix what every color
-    names: a row's pair codes name the previous round's colors.  Only a
-    round past the key bound of :func:`_pair_values` ranks its pairs, and
-    then it records their tables too.
+    the rank of its row among the distinct rows of its length, in their byte
+    order (:func:`_rank_rows`), offset by the number of distinct rows of
+    every shorter length.  ``digest`` absorbs the row layout and each
+    round's distinct rows, which fix what every color names: a row's pair
+    codes name the previous round's colors.  Only a round past the key bound
+    of :func:`_pair_values` ranks its pairs, and then it records their
+    tables too.
     """
 
     def __init__(self, complexes: Sequence[HigherOrderComplex], rule: str):
@@ -205,8 +209,7 @@ class _JointRefinement:
         new_colors = np.empty(self.total, dtype=np.int64)
         k = 0
         for members, lo, hi, width in self.groups:
-            rows = flat[lo:hi].view(np.dtype((np.void, 8 * width)))
-            distinct, inverse = np.unique(rows, return_inverse=True)
+            distinct, inverse = _rank_rows(flat[lo:hi], width)
             new_colors[members] = k + inverse
             k += distinct.size
             _record(self.digest, distinct)
@@ -246,7 +249,7 @@ class _JointRefinement:
     def histogram(self, side: int) -> ColorHistogram:
         lo, hi = self.offsets[side], self.offsets[side + 1]
         values, counts = np.unique(self.colors[lo:hi], return_counts=True)
-        return ColorHistogram({int(v): int(c) for v, c in zip(values, counts)})
+        return ColorHistogram(dict(zip(values.tolist(), counts.tolist())))
 
 
 def _read(c: HigherOrderComplex, name: str):
@@ -296,10 +299,66 @@ def _pair_values(colors, witness_colors, k, total):
     return values, pairs.size, pairs
 
 
+# Groups of fewer rows are ranked by the void sort alone (:func:`_rank_rows`).
+# Ranked both ways group by group, the groups of lifted G(20, 0.3) graphs
+# (perfbench's er-pairs inputs), where most rows are distinct, took 8-27 %
+# longer hashed at 512-1023 rows and as long from 1024 rows on; groups of
+# SRG path complexes took 0.3-0.7 times as long hashed from 64 rows on.
+_HASHED_ROWS = 1024
+
+
+def _splitmix64(n):
+    """The first ``n`` outputs of the splitmix64 generator seeded with 0."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+# Odd multipliers of the row hash; a row of ``width`` values hashes to its
+# dot product with the first ``width`` of them, modulo 2**64.  Wider rows are
+# ranked by the void sort alone.  They come from splitmix64, not
+# ``np.random``, so importing the package does not load numpy's random module.
+_MULTIPLIERS = _splitmix64(4096) | np.uint64(1)
+_MULTIPLIERS.flags.writeable = False
+
+
+def _rank_rows(flat, width):
+    """The distinct rows of ``flat``, read as rows of ``width`` int64
+    values, in the byte order of a void sort, and each row's rank among
+    them: exactly ``np.unique`` of the rows' void view with its inverse.
+
+    A group of at least ``_HASHED_ROWS`` rows is hashed first.  Rows of one
+    hash form a candidate class, and every row is compared with its class's
+    representative, so the classes are exact; only the representatives are
+    then sorted.  A collision between distinct rows sends the group to the
+    void sort.
+    """
+    void = np.dtype((np.void, 8 * width))
+    if flat.size >= _HASHED_ROWS * width and width <= _MULTIPLIERS.size:
+        rows = flat.reshape(-1, width)
+        hashes, classes = np.unique(rows.view(np.uint64) @ _MULTIPLIERS[:width],
+                                    return_inverse=True)
+        rep = np.empty(hashes.size, dtype=np.intp)  # some row of each class
+        rep[classes] = np.arange(classes.size)
+        reps = rows[rep]
+        check = reps[classes]  # the one group-sized temporary
+        check -= rows
+        if not check.any():
+            distinct, ranks = np.unique(reps.ravel().view(void), return_inverse=True)
+            return distinct, ranks[classes]
+    return np.unique(flat.view(void), return_inverse=True)
+
+
 def _record(digest, table):
     """Feed ``table`` to ``digest`` behind its length, so records delimit."""
     digest.update(np.int64(len(table)).tobytes())
     digest.update(table.tobytes())
+
+
+def _check_rounds(name, rounds):
+    if rounds < 0:
+        raise ValueError(f"{name} must be non-negative, got {rounds}")
 
 
 def refine_pair(
@@ -313,8 +372,11 @@ def refine_pair(
     Returns ``(histogram_x, histogram_y, rounds_used)``; the histograms share
     one round's color ranks so they can be compared directly.  A
     reduced-rule run that reaches stability fills both complexes'
-    :func:`stable_colors` caches.
+    :func:`stable_colors` caches.  A negative ``max_rounds`` raises
+    ``ValueError``.
     """
+    if max_rounds is not None:
+        _check_rounds("max_rounds", max_rounds)
     engine = _JointRefinement([x, y], rule)
     rounds = engine.run(max_rounds)
     return engine.histogram(0), engine.histogram(1), rounds
@@ -329,7 +391,9 @@ def refinement_trace(
     """Color arrays for rounds 0..rounds of a joint refinement.
 
     Each snapshot lists x's members first, then y's, in member-id order.
+    A negative ``rounds`` raises ``ValueError``.
     """
+    _check_rounds("rounds", rounds)
     engine = _JointRefinement([x, y], rule)
     out = [engine.colors.copy()]
     for _ in range(rounds):
@@ -381,7 +445,9 @@ def _keep_stable(c: HigherOrderComplex, colors: np.ndarray, k: int) -> None:
     # keyed by dimension too, so no class spans two dimensions
     _, first, inverse = np.unique(dims * k + colors, return_index=True,
                                   return_inverse=True)
-    colors = np.argsort(np.argsort(first))[inverse]  # rank of the lowest member
+    rank = np.empty_like(first)  # classes ranked by their lowest member
+    rank[np.argsort(first)] = np.arange(first.size)
+    colors = rank[inverse]
     colors.flags.writeable = False
     c._stable_colors = colors
 

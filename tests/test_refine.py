@@ -28,6 +28,7 @@ from pathcomplex.graphs import (
 from pathcomplex.refine import (
     _JointRefinement,
     _pair_values,
+    _rank_rows,
     _record,
     distinguishes,
     power_order_check,
@@ -239,6 +240,90 @@ class TestPairCodeOracle:
                     assert new.digest.digest() == ref.digest.digest()
 
 
+class TestRankRows:
+    """``_rank_rows`` against the ``np.unique`` of the rows' void view, which
+    it replaces: the same distinct rows in the same byte order, the same
+    ranks.  ``hashed`` puts the hash cut at one row, so every group is hashed."""
+
+    @pytest.fixture(params=["hashed", "default"])
+    def cut(self, request, monkeypatch):
+        if request.param == "hashed":
+            monkeypatch.setattr(refine, "_HASHED_ROWS", 1)
+
+    @staticmethod
+    def assert_ranks_like_unique(rows):
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        width = rows.shape[1]
+        distinct, ranks = _rank_rows(rows.ravel(), width)
+        want, want_ranks = np.unique(
+            rows.ravel().view(np.dtype((np.void, 8 * width))), return_inverse=True)
+        assert distinct.dtype == want.dtype
+        assert distinct.tobytes() == want.tobytes()
+        assert np.array_equal(ranks, want_ranks)
+        return ranks
+
+    @staticmethod
+    def drawn(rows, width, distinct, seed=67):
+        rng = np.random.default_rng(seed)
+        table = rng.integers(0, 2**40, (distinct, width))
+        return table[rng.integers(0, distinct, rows)]
+
+    def test_high_byte_orders_first(self, cut):
+        # little-endian bytes put 256 (00 01 ...) before 1 (01 00 ...)
+        ranks = self.assert_ranks_like_unique([[1], [256], [1]])
+        assert ranks.tolist() == [1, 0, 1]
+        self.assert_ranks_like_unique([[3, 1], [3, 256], [2, 256]])
+
+    def test_all_equal_rows(self, cut):
+        ranks = self.assert_ranks_like_unique(np.full((40, 3), 7))
+        assert not ranks.any()
+
+    def test_all_distinct_rows(self, cut):
+        rows = np.random.default_rng(71).permutation(120).reshape(40, 3)
+        ranks = self.assert_ranks_like_unique(rows)
+        assert np.unique(ranks).size == 40
+
+    def test_single_row(self, cut):
+        self.assert_ranks_like_unique([[5, 0, 2]])
+
+    def test_width_one(self, cut):
+        self.assert_ranks_like_unique(self.drawn(300, 1, 20))
+
+    def test_wide_group(self, cut):
+        self.assert_ranks_like_unique(self.drawn(200, 300, 9))
+        # wider than the multiplier table: ranked by the void sort alone
+        self.assert_ranks_like_unique(self.drawn(3, refine._MULTIPLIERS.size + 1, 2))
+
+    def test_groups_past_the_default_cut(self):
+        for distinct in (1, 37, 3000):
+            self.assert_ranks_like_unique(self.drawn(3000, 6, distinct))
+
+    def test_colliding_hashes_fall_back(self, cut, monkeypatch):
+        monkeypatch.setattr(refine, "_MULTIPLIERS", np.zeros(64, dtype=np.uint64))
+        self.assert_ranks_like_unique(self.drawn(2000, 4, 30))
+        self.assert_ranks_like_unique(np.full((2000, 4), 3))
+
+    @pytest.mark.parametrize("multipliers", ["odd", "colliding"])
+    def test_engine_is_the_reference(self, monkeypatch, multipliers):
+        # every group hashed, with pairs ranked as the reference ranks them:
+        # colors and digest equal the reference's round by round, also when
+        # every hash collides and every group falls back to the void sort
+        monkeypatch.setattr(refine, "_HASHED_ROWS", 1)
+        monkeypatch.setattr(refine, "_KEY_BOUND", 0)
+        if multipliers == "colliding":
+            monkeypatch.setattr(refine, "_MULTIPLIERS", np.zeros(4096, dtype=np.uint64))
+        for g, h in random_pairs(73, 6):
+            for lift in RANDOM_LIFTS:
+                for rule in ("reduced", "full"):
+                    pair = [lift(g), lift(h)]
+                    new, ref = _JointRefinement(pair, rule), ReferenceRefinement(pair, rule)
+                    for _ in range(4):
+                        new.step()
+                        ref.step()
+                        assert np.array_equal(new.colors, ref.colors)
+                        assert new.digest.digest() == ref.digest.digest()
+
+
 class TestPairValues:
     """``_pair_values`` codes pairs below the key bound and ranks them past it."""
 
@@ -317,6 +402,17 @@ class TestRefinePair:
         b = lift_path_complex(cycle_graph(8), 2)
         _, _, rounds = refine_pair(a, b, max_rounds=1)
         assert rounds == 1
+
+    def test_negative_max_rounds(self):
+        a, b = lift_path_complex(C6, 2), lift_path_complex(TWO_K3, 2)
+        with pytest.raises(ValueError, match="max_rounds must be non-negative, got -1"):
+            refine_pair(a, b, max_rounds=-1)
+
+    def test_negative_trace_rounds(self):
+        a, b = lift_path_complex(C6, 2), lift_path_complex(TWO_K3, 2)
+        with pytest.raises(ValueError, match="rounds must be non-negative, got -2"):
+            refinement_trace(a, b, -2)
+        assert len(refinement_trace(a, b, 0)) == 1
 
     def test_determinism(self):
         a = lift_path_complex(C6, 3)
