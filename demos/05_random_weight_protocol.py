@@ -1,10 +1,13 @@
 """The random-weight network protocol on the hardest 16-vertex pair.
 
-Both graphs are strongly regular with identical parameters (16,6,2,2), so
-vertex refinement is blind to them.  Feeding both through the same randomly
+The 4x4 rook graph and the Shrikhande graph, read from the bundled corpus,
+are strongly regular with identical parameters (16,6,2,2), so vertex
+refinement is blind to them.  Feeding both through the same randomly
 initialized message-passing network over their dimension-3 path complexes
 separates the embeddings by a wide margin against the 0.01 threshold.
 """
+
+import pathlib
 
 from pathcomplex import (
     NetworkParams,
@@ -12,11 +15,12 @@ from pathcomplex import (
     forward,
     init_features,
     lift_path_complex,
+    read_graph6_file,
 )
-from pathcomplex.srg import rook_graph_4x4, shrikhande_graph, srg_parameters
+from pathcomplex.srg import srg_parameters
 
-rook = rook_graph_4x4()
-shrik = shrikhande_graph()
+corpus = pathlib.Path(__file__).resolve().parents[1] / "data" / "srg"
+rook, shrik = read_graph6_file(corpus / "sr16_6_2_2.g6")
 print("parameters:", srg_parameters(rook), "and", srg_parameters(shrik))
 
 c1 = lift_path_complex(rook, 3)

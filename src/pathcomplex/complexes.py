@@ -660,6 +660,8 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
         if len(parts) != 4 or parts[0] != "dim" or int(parts[1]) != p:
             raise SerializationError(f"bad dimension header: {lines[pos]!r}")
         count = int(parts[3])
+        if count < 0:
+            raise SerializationError(f"dim {p} count {count} is negative")
         if p == 0 and count != n:
             # every lift lists each vertex as a member, and nothing sized by
             # n may be built from a header the members do not back

@@ -123,8 +123,8 @@ class _JointRefinement:
     every shorter length.  ``digest`` absorbs the row layout and each
     round's distinct rows, which fix what every color names: a row's pair
     codes name the previous round's colors.  Only a round past the key bound
-    of :func:`_pair_values` ranks its pairs, and then it records their
-    tables too.
+    of :func:`_codes_fit` ranks its pairs (:func:`_pair_values`), and then
+    it records their tables too.
     """
 
     def __init__(self, complexes: Sequence[HigherOrderComplex], rule: str):
@@ -225,7 +225,7 @@ class _JointRefinement:
         values, width, pairs = _pair_values(
             np.concatenate([colors[e.lo:e.hi][e.ids] for e in parts]),
             np.concatenate([colors[e.lo:e.hi][e.witness] for e in parts]),
-            self.k, self.total,
+            self.k,
         )
         _record(self.digest, pairs)
         return width, np.split(values, np.cumsum([e.ids.size for e in parts[:-1]]))
@@ -281,21 +281,17 @@ def _codes_fit(k, total):
     return total * k * k < _KEY_BOUND
 
 
-def _pair_values(colors, witness_colors, k, total):
-    """Entry values of a witnessed relation: ``(values, width, pairs)``.
+def _pair_values(colors, witness_colors, k):
+    """Ranked entry values of a witnessed relation: ``(values, width, pairs)``.
 
-    Each (color, witness color) entry gets the exact code
-    ``color * k + witness color``, below ``width = k * k``, while
-    :func:`_codes_fit`; ``pairs`` is then None, since the next round's
-    distinct rows name the pairs.  Past the bound the value is the code's
-    rank among the distinct codes, ``width`` their number and ``pairs``
-    their table, which the digest must record.  The engine writes the codes
-    in place and calls this past the bound, with every complex's entries.
+    Each (color, witness color) entry's value is the rank of its code
+    ``color * k + witness color`` among the relation's distinct codes,
+    ``width`` their number and ``pairs`` their table, which the digest must
+    record.  Below the key bound (:func:`_codes_fit`) the engine writes the
+    codes themselves in place; past it, it calls this with every complex's
+    entries.
     """
-    codes = colors * k + witness_colors
-    if _codes_fit(k, total):
-        return codes, k * k, None
-    pairs, values = np.unique(codes, return_inverse=True)
+    pairs, values = np.unique(colors * k + witness_colors, return_inverse=True)
     return values, pairs.size, pairs
 
 
@@ -407,10 +403,10 @@ def stable_fingerprint(c: HigherOrderComplex, rule: str = "reduced") -> str:
 
     A 128-bit blake2b hex digest of every round's distinct signatures,
     which fix what each dense color names (with the pair tables of any
-    round that ranks its pairs, see :func:`_pair_values`), and of the
-    stable color counts.  It is exact: two complexes get equal fingerprints
-    iff :func:`refine_pair` does not distinguish them.  Used to bucket
-    graphs without pairwise runs.
+    round past the key bound of :func:`_codes_fit`, which ranks its pairs),
+    and of the stable color counts.  It is exact: two complexes get equal
+    fingerprints iff :func:`refine_pair` does not distinguish them.  Used to
+    bucket graphs without pairwise runs.
     """
     engine = _JointRefinement([c], rule)
     engine.run(None)

@@ -459,6 +459,13 @@ class TestSerialization:
             deserialize_complex(text)
         assert time.perf_counter() - start < 1.0
 
+    def test_negative_count_rejected(self):
+        # read as range(-3) the section would hold no members
+        text = ("PCX v1 kind=path n=2 maxdim=1\ndim 0 count 2\n0: 0\n1: 1\n"
+                "dim 1 count -3\nboundaries\n0:\n1:\n")
+        with pytest.raises(SerializationError, match="dim 1 count -3 is negative"):
+            deserialize_complex(text)
+
     def test_vertex_id_past_int64_raises_serialization_error(self):
         text = ("PCX v1 kind=path n=100000000000000000000 maxdim=0\n"
                 "dim 0 count 1\n0: 99999999999999999999\nboundaries\n0:\n")

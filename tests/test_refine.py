@@ -27,6 +27,7 @@ from pathcomplex.graphs import (
 )
 from pathcomplex.refine import (
     _JointRefinement,
+    _codes_fit,
     _pair_values,
     _rank_rows,
     _record,
@@ -325,33 +326,28 @@ class TestRankRows:
 
 
 class TestPairValues:
-    """``_pair_values`` codes pairs below the key bound and ranks them past it."""
+    """``_codes_fit`` bounds the pair codes; past it ``_pair_values`` ranks
+    them."""
 
     @staticmethod
     def entries(k, size=500, seed=59):
         rng = np.random.default_rng(seed)
         return rng.integers(0, k, size), rng.integers(0, k, size)
 
-    def test_both_branches_give_one_partition(self):
+    def test_ranks_give_the_codes_partition(self):
         for k in (1, 3, 40):
             colors, witness_colors = self.entries(k)
-            codes, width, pairs = _pair_values(colors, witness_colors, k, 10**6)
-            assert pairs is None and width == k * k
-            assert np.array_equal(codes, colors * k + witness_colors)
-            # the least total with total * k * k >= 2**62, and one far past it
-            for total in (-(-2**62 // (k * k)), 2**70):
-                ranks, width, pairs = _pair_values(colors, witness_colors, k, total)
-                assert pairs is not None and width == pairs.size
-                assert np.array_equal(pairs[ranks], codes)
-                assert same_partition_arrays(ranks, codes)
+            codes = colors * k + witness_colors
+            ranks, width, pairs = _pair_values(colors, witness_colors, k)
+            assert width == pairs.size
+            assert np.array_equal(pairs[ranks], codes)
+            assert same_partition_arrays(ranks, codes)
 
     def test_bound_is_exclusive(self):
-        colors, witness_colors = self.entries(1)
-        assert _pair_values(colors, witness_colors, 1, 2**62 - 1)[2] is None
-        assert _pair_values(colors, witness_colors, 1, 2**62)[2] is not None
-        colors, witness_colors = self.entries(2)
-        assert _pair_values(colors, witness_colors, 2, 2**60 - 1)[2] is None
-        assert _pair_values(colors, witness_colors, 2, 2**60)[2] is not None
+        assert _codes_fit(1, 2**62 - 1)
+        assert not _codes_fit(1, 2**62)
+        assert _codes_fit(2, 2**60 - 1)
+        assert not _codes_fit(2, 2**60)
 
 
 class TestRefinePair:
@@ -501,6 +497,23 @@ class TestInvariants:
             red = distinguishes(*refine_pair(a, b, rule="reduced")[:2])
             full = distinguishes(*refine_pair(a, b, rule="full")[:2])
             assert red == full
+
+    def test_reduced_and_full_reach_one_stable_partition(self):
+        # every member of dimension >= 1 here has at least two faces, so the
+        # reduced rule's stable partition is the full rule's, not only its
+        # verdicts
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            g = random_graph(int(rng.integers(3, 11)), float(rng.uniform(0.3, 0.8)), rng)
+            for lift in RANDOM_LIFTS:
+                c = lift(g)
+                assert (np.diff(c.boundary_csr()[0])[c.dim_offsets[1]:] >= 2).all()
+                colors = []
+                for rule in ("reduced", "full"):
+                    engine = _JointRefinement([c], rule)
+                    engine.run(None)
+                    colors.append(engine.colors)
+                assert same_partition_arrays(*colors)
 
     def test_family_color_propagation(self):
         # matching top-family color multisets at the offset round force the

@@ -3,6 +3,22 @@
 import numpy as np
 import pytest
 
+from generate_srg_data import (
+    chang_graphs,
+    cyclic_latin_square,
+    dedupe_by_fingerprint,
+    find_regular_switch_sets,
+    latin_square_graph,
+    noncyclic_latin_square_order5,
+    paley_graph,
+    seidel_switch,
+    shrikhande_graph,
+    steiner_block_graph,
+    steiner_triple_system_15,
+    switched_extension,
+    triangular_graph,
+    two_graph_descendants,
+)
 from pathcomplex.bench import load_family
 from pathcomplex.complexes import lift_path_complex
 from pathcomplex.graphs import (
@@ -13,25 +29,7 @@ from pathcomplex.graphs import (
     random_permutation,
 )
 from pathcomplex.refine import stable_fingerprint
-from pathcomplex.srg import (
-    chang_graphs,
-    dedupe_by_fingerprint,
-    find_regular_switch_sets,
-    is_strongly_regular,
-    latin_square_graph,
-    cyclic_latin_square,
-    noncyclic_latin_square_order5,
-    paley_graph,
-    rook_graph_4x4,
-    seidel_switch,
-    shrikhande_graph,
-    srg_parameters,
-    steiner_block_graph,
-    steiner_triple_system_15,
-    switched_extension,
-    triangular_graph,
-    two_graph_descendants,
-)
+from pathcomplex.srg import is_strongly_regular, rook_graph_4x4, srg_parameters
 
 
 class TestConstructions:
