@@ -32,7 +32,7 @@ from .complexes import (
     check_lift_args,
     lift_complex,
 )
-from .graphs import read_graph6_file
+from .graphs import read_graph6_file, read_text
 from .network import NetworkParams, embed, embedding_distance
 from .refine import WL1_DIM, stable_fingerprint
 from .srg import is_strongly_regular
@@ -199,11 +199,7 @@ def parse_manifest(path) -> list:
 
     A malformed line raises :class:`ManifestError` naming ``file:line``.
     """
-    try:
-        with open(path, "r", encoding="ascii") as handle:
-            text = handle.read()
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"{path}: not ASCII text ({exc.reason})") from exc
+    text = read_text(path, "ASCII", ManifestError)
     specs = []
     base = os.path.dirname(os.path.abspath(path))
     for lineno, raw in enumerate(text.split("\n"), start=1):

@@ -41,7 +41,7 @@ from .complexes import (
     cyclic_families,
     serialize_complex,
 )
-from .graphs import GraphParseError, parse_edge_list, read_graph6_file
+from .graphs import GraphParseError, parse_edge_list, read_graph6_file, read_text
 from .refine import distinguishes, refine_pair
 
 __all__ = ["main"]
@@ -102,11 +102,10 @@ _SETTINGS = {
 def _apply_config_file(args):
     """Give every setting that no flag set its value from ``--config``."""
     try:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
+        text = read_text(args.config, "UTF-8", _UsageError)
     except OSError as exc:
         raise _UsageError(f"cannot read config file {args.config}: {exc}")
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -154,12 +153,7 @@ def _read_all_graphs(path: str, fmt: str):
         fmt = "graph6" if path.endswith((".g6", ".graph6")) else "edges"
     if fmt == "graph6":
         return read_graph6_file(path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except UnicodeDecodeError as exc:
-        raise GraphParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    return [parse_edge_list(text)]
+    return [parse_edge_list(read_text(path, "UTF-8", GraphParseError))]
 
 
 def _read_one_graph(path: str, fmt: str, index: int):

@@ -373,6 +373,9 @@ def _face_ids(kind, carriers, p, truncation=False):
     incidence its id alone decides whether it bounds the path.
     """
     rows = carriers[p]
+    if not len(rows):
+        ids = np.zeros((0, p + 1), dtype=np.int64)
+        return np.zeros((0, p + 1, p), dtype=np.int64), ids >= 0, ids
     if kind == "cell" and p == 2:
         after = np.roll(rows, -1, axis=1)
         after = np.where(after >= 0, after, rows[:, :1])
@@ -397,7 +400,10 @@ def _face_ids(kind, carriers, p, truncation=False):
 
 def _assemble(kind, g, max_dim, carriers, truncation=False) -> HigherOrderComplex:
     """The complex on ``carriers`` whose boundary CSR row of each member holds
-    the ascending ids of its faces; dimension-0 rows are empty."""
+    the ascending ids of its faces; dimension-0 rows are empty.  Dimensions
+    up to ``max_dim`` that ``carriers`` stops short of are empty."""
+    carriers = carriers + [np.zeros((0, p + 1), dtype=np.int64)
+                           for p in range(len(carriers), max_dim + 1)]
     offsets = _offsets(carriers)
     sizes = [np.zeros(len(carriers[0]), dtype=np.int64)]
     flat = [np.zeros(0, dtype=np.int64)]
@@ -483,7 +489,7 @@ def lift_path_complex(
     walks = np.arange(g.n, dtype=np.int64)[:, None]  # both orientations
     carriers = [walks]
     _check_cap(carriers, member_cap)
-    for _ in range(max_dim):
+    while len(carriers) <= max_dim and len(walks):
         prev, nxt = _grow(walks, indptr, nbr)
         simple = (prev[:, :-1] != nxt[:, None]).all(axis=1)
         walks = np.column_stack((prev[simple], nxt[simple]))
@@ -492,11 +498,12 @@ def lift_path_complex(
     return _assemble("path", g, max_dim, carriers, boundary_mode == "truncation")
 
 
-def _adjacent(edges, prev, nxt) -> np.ndarray:
-    """``out[i, j]`` is True iff ``prev[i, j]`` and ``nxt[i]`` are adjacent."""
-    nxt = nxt[:, None]
-    pairs = np.stack((np.minimum(prev, nxt), np.maximum(prev, nxt)), axis=2)
-    return (_row_index(edges, pairs.reshape(-1, 2)) >= 0).reshape(prev.shape)
+def _adjacent(edges, u, v) -> np.ndarray:
+    """True where the vertices ``u`` and ``v``, broadcast together, are
+    adjacent; ``edges`` are the edge rows of :func:`_edge_rows`."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    pairs = np.stack((lo, hi), axis=-1).reshape(-1, 2)
+    return (_row_index(edges, pairs) >= 0).reshape(lo.shape)
 
 
 def lift_clique_complex(
@@ -511,12 +518,12 @@ def lift_clique_complex(
     cliques = np.arange(g.n, dtype=np.int64)[:, None]
     carriers = [cliques]
     _check_cap(carriers, member_cap)
-    for _ in range(max_dim):
+    while len(carriers) <= max_dim and len(cliques):
         prev, nxt = _grow(cliques, indptr, nbr)
         up = nxt > prev[:, -1]
         prev, nxt = prev[up], nxt[up]
         # the new vertex must also neighbour every earlier one
-        clique = _adjacent(edges, prev[:, :-1], nxt).all(axis=1)
+        clique = _adjacent(edges, prev[:, :-1], nxt[:, None]).all(axis=1)
         cliques = np.column_stack((prev[clique], nxt[clique]))
         carriers.append(cliques)
         _check_cap(carriers, member_cap)
@@ -545,10 +552,12 @@ def lift_ring_complex(
     _check_cap((verts, edges), member_cap)
     paths, rings = edges, [np.zeros((0, 3), dtype=np.int64)]
     for _ in range(3, max_ring + 1):
+        if not len(paths):
+            break
         prev, nxt = _grow(paths, indptr, nbr)
         fresh = (nxt > prev[:, 0]) & (prev[:, 1:] != nxt[:, None]).all(axis=1)
         prev, nxt = prev[fresh], nxt[fresh]
-        adjacent = _adjacent(edges, prev[:, :-1], nxt)
+        adjacent = _adjacent(edges, prev[:, :-1], nxt[:, None])
         ring = adjacent[:, 0] & ~adjacent[:, 1:].any(axis=1) & (nxt > prev[:, 1])
         if ring.any():
             rings.append(np.column_stack((prev[ring], nxt[ring])))
@@ -686,7 +695,8 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
             pos += 1
         members.append(ms)
         carriers.append(_rows(ms, p + 1))
-        if (np.diff(_row_keys((carriers[p] + 1).T)) <= 0).any():
+        # a single row is in order, and the keys cost O(p) even for none
+        if len(ms) > 1 and (np.diff(_row_keys((carriers[p] + 1).T)) <= 0).any():
             raise SerializationError(
                 f"dimension {p} members repeat or leave lexicographic order"
             )
@@ -695,14 +705,13 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
     pos += 1
     total = expected_gid
     offsets = _offsets(members)
-    source = SimpleGraph.from_edges(n, members[1] if max_dim >= 1 else [])
     for p in range(2, max_dim + 1):
-        for i, carrier in enumerate(members[p]):
-            if not _spans(kind, carrier, source):
-                raise SerializationError(
-                    f"member {offsets[p] + i} is not a {_SHAPES[kind]} "
-                    "of the dimension-1 members"
-                )
+        bad = np.flatnonzero(~_spans(kind, carriers[p], carriers[1]))
+        if bad.size:
+            raise SerializationError(
+                f"member {offsets[p] + bad[0]} is not a {_SHAPES[kind]} "
+                "of the dimension-1 members"
+            )
     # a row may hold its incidence faces and must hold its truncation faces
     # (for simplices and cells the two are the same: every face)
     may, must = [None], [None]
@@ -760,17 +769,18 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
 _SHAPES = {"path": "walk", "simplex": "clique", "cell": "chordless cycle"}
 
 
-def _spans(kind, carrier, g: SimpleGraph) -> bool:
-    """True iff ``carrier`` is a walk (path), a clique (simplex) or a
-    chordless cycle (cell) of ``g``."""
+def _spans(kind, rows, edges) -> np.ndarray:
+    """For each carrier row, True iff it is a walk (path), a clique (simplex)
+    or a chordless cycle (cell) on the edge rows ``edges``, laid out as
+    :func:`_edge_rows` lays them; ring rows may be padded with -1."""
     if kind == "path":
-        return all(map(g.has_edge, carrier, carrier[1:]))
-    m = len(carrier)
-    for i, j in itertools.combinations(range(m), 2):
-        ring_edge = j == i + 1 or (i, j) == (0, m - 1)
-        if g.has_edge(carrier[i], carrier[j]) != (kind == "simplex" or ring_edge):
-            return False
-    return True
+        return _adjacent(edges, rows[:, :-1], rows[:, 1:]).all(axis=1)
+    i, j = np.triu_indices(rows.shape[1], 1)
+    m = (rows >= 0).sum(axis=1)[:, None]  # carrier lengths
+    # padding stands in for the first vertex; its pairs are not checked
+    rows = np.where(rows >= 0, rows, rows[:, :1])
+    want = (kind == "simplex") | (j == i + 1) | ((i == 0) & (j == m - 1))
+    return ((_adjacent(edges, rows[:, i], rows[:, j]) == want) | (j >= m)).all(axis=1)
 
 
 def _is_canonical(kind, p, carrier) -> bool:

@@ -180,13 +180,20 @@ def encode_graph6(g: SimpleGraph) -> str:
     return bytes(head + body).decode("ascii")
 
 
+def read_text(path, encoding: str, error: type) -> str:
+    """The text of the file at ``path`` in ``encoding``, ``"ASCII"`` or
+    ``"UTF-8"``, with every line ending read as ``\\n``; bytes that do not
+    decode raise ``error`` naming the path."""
+    try:
+        with open(path, "r", encoding=encoding) as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not {encoding} text ({exc.reason})") from exc
+
+
 def read_graph6_file(path) -> list:
     """Read a one-graph-per-line graph6 file."""
-    try:
-        with open(path, "r", encoding="ascii") as handle:
-            text = handle.read()
-    except UnicodeDecodeError as exc:
-        raise GraphParseError(f"{path}: not ASCII text ({exc.reason})") from exc
+    text = read_text(path, "ASCII", GraphParseError)
     graphs = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
@@ -262,12 +269,6 @@ class VertexPermutation:
 
     def __call__(self, v: int) -> int:
         return self.mapping[v]
-
-    def inverse(self) -> "VertexPermutation":
-        inv = [0] * len(self.mapping)
-        for i, m in enumerate(self.mapping):
-            inv[m] = i
-        return VertexPermutation(tuple(inv))
 
 
 def apply_permutation(g: SimpleGraph, p: VertexPermutation) -> SimpleGraph:

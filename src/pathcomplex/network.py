@@ -176,18 +176,28 @@ class FeatureState:
 
 def init_features(c: HigherOrderComplex, hidden_dim: int = 16) -> FeatureState:
     """Populate features bottom-up: ones at dimension 0, then the sum of
-    boundary features at each higher dimension.  Every column is the same,
-    so one is summed and repeated."""
-    counts = c.counts()
-    column = np.ones(counts[0])
-    values = [np.ones((counts[0], hidden_dim))]
-    for p in range(1, c.max_dim + 1):
-        src, faces = _boundary_rows(c, np.arange(*c.dim_offsets[p:p + 2]))
+    boundary features at each higher dimension."""
+    off = c.dim_offsets
+    entries = (_boundary_rows(c, np.arange(off[p], off[p + 1]))
+               for p in range(1, c.max_dim + 1))
+    # face ids of dimension p start at off[p - 1]
+    boundaries = ((src, faces - lo) for (src, faces), lo in zip(entries, off))
+    return FeatureState(_boundary_sums(c.counts(), boundaries, hidden_dim))
+
+
+def _boundary_sums(sizes, boundaries, hidden_dim: int) -> list:
+    """Ones on the ``sizes[0]`` rows of dimension 0, then on each of the
+    ``sizes[p]`` rows above the sum of its faces' rows, with ``boundaries``
+    yielding each dimension's entries as (row, face row one dimension down).
+    Every column is the same, so one is summed and repeated."""
+    column = np.ones(sizes[0])
+    values = [np.ones((sizes[0], hidden_dim))]
+    for size, (src, faces) in zip(sizes[1:], boundaries):
         # the cast matters only for an empty dimension, whose bincount is int
-        column = np.bincount(src, weights=column[faces - c.dim_offsets[p - 1]],
-                             minlength=counts[p]).astype(np.float64, copy=False)
+        column = np.bincount(src, weights=column[faces],
+                             minlength=size).astype(np.float64, copy=False)
         values.append(np.repeat(column[:, None], hidden_dim, axis=1))
-    return FeatureState(values)
+    return values
 
 
 def _ranges(starts: np.ndarray, ends: np.ndarray):
@@ -322,14 +332,8 @@ def embed(c: HigherOrderComplex, params: NetworkParams) -> np.ndarray:
         return forward(c, init_features(c, params.hidden_dim), params)
     _check_max_dim(c, params)
     classes = _class_incidence(c)
-    column = np.ones(classes[0].rep.size)
-    h = [np.ones((column.size, params.hidden_dim))]
-    for cls in classes[1:]:
-        src, faces = cls.boundary
-        # the cast matters only for an empty dimension, whose bincount is int
-        column = np.bincount(src, weights=column[faces],
-                             minlength=cls.rep.size).astype(np.float64, copy=False)
-        h.append(np.repeat(column[:, None], params.hidden_dim, axis=1))
+    h = _boundary_sums([cls.rep.size for cls in classes],
+                       (cls.boundary for cls in classes[1:]), params.hidden_dim)
     return _propagate(c, classes, h, params)
 
 

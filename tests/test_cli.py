@@ -293,6 +293,13 @@ class TestTimeLift:
 
 
 class TestConfig:
+    def test_non_utf8_file_is_a_usage_error(self, capsys, files, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_bytes(b"member-cap = 3 # caf\xe9\n")
+        code, _, err = run(capsys, "lift", files["p4"], "--config", cfg)
+        assert code == 1
+        assert f"{cfg}: not UTF-8 text" in err
+
     def test_unknown_key_fatal(self, capsys, files, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("banana = 7\n")

@@ -472,11 +472,86 @@ class TestSerialization:
         with pytest.raises(SerializationError):
             deserialize_complex(text)
 
+    def test_mutated_payloads_load_or_raise(self):
+        # one seeded single-line edit per read: delete, duplicate or swap a
+        # line, or change one token to a nearby integer or a word
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            g = random_graph(int(rng.integers(3, 8)), 0.6, rng)
+            for c in (
+                lift_path_complex(g, 3),
+                lift_path_complex(g, 3, boundary_mode="truncation"),
+                lift_clique_complex(g, 3),
+                lift_ring_complex(g, 5),
+            ):
+                lines = serialize_complex(c).split("\n")
+                for _ in range(20):
+                    text = "\n".join(_mutate(lines, rng))
+                    start = time.perf_counter()
+                    try:
+                        assert isinstance(deserialize_complex(text), type(c))
+                    except SerializationError:
+                        pass
+                    assert time.perf_counter() - start < 1.0, text
+
     def test_upper_adjacency_survives_roundtrip(self):
         c = lift_path_complex(FIG3B, 3)
         d = deserialize_complex(serialize_complex(c))
         for a, b in zip(c.upper_adjacency(), d.upper_adjacency()):
             assert np.array_equal(a, b)
+
+
+def _mutate(lines, rng) -> list:
+    lines = list(lines)
+    i = int(rng.integers(len(lines)))
+    edit = int(rng.integers(4))
+    if edit == 0:
+        del lines[i]
+    elif edit == 1:
+        lines.insert(i, lines[i])
+    elif edit == 2:
+        j = int(rng.integers(len(lines)))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        tokens = lines[i].split(" ")
+        q = int(rng.integers(len(tokens)))
+        key, eq, value = tokens[q].rpartition("=")
+        number = value.rstrip(":")
+        if number.lstrip("-").isdigit() and rng.random() < 0.75:
+            new = str(int(number) + int(rng.choice([-2, -1, 1, 2])))
+        else:
+            new = "word"
+        tokens[q] = key + eq + new + value[len(number):]
+        lines[i] = " ".join(tokens)
+    return lines
+
+
+class TestEmptyDimensions:
+    """Dimensions past the last member cost no per-dimension search."""
+
+    @pytest.mark.parametrize("lift, param, reference", [
+        (lift_path_complex, 500, 7),
+        (lift_path_complex, 1000, 7),
+        (lift_clique_complex, 500, 3),
+        (lift_ring_complex, 10 ** 5, 6),
+    ])
+    def test_lift_to_a_high_dimension(self, lift, param, reference):
+        start = time.perf_counter()
+        c = lift(cycle_graph(6), param)
+        assert time.perf_counter() - start < 1.0
+        ref = lift(cycle_graph(6), reference)
+        assert c.counts() == ref.counts() + [0] * (len(c.counts()) - len(ref.counts()))
+        for a, b in zip(c.boundary_csr(), ref.boundary_csr()):
+            assert np.array_equal(a, b)
+
+    def test_read_many_empty_sections(self):
+        text = ("PCX v1 kind=path n=0 maxdim=599\n"
+                + "".join(f"dim {p} count 0\n" for p in range(600)) + "boundaries\n")
+        start = time.perf_counter()
+        c = deserialize_complex(text)
+        assert time.perf_counter() - start < 1.0
+        assert c.counts() == [0] * 600
+        assert [a.tolist() for a in c.boundary_csr()] == [[0], []]
 
 
 class TestAdjacencyStructure:
