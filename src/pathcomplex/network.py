@@ -17,7 +17,7 @@ this is the argument behind "PCN is at most as expressive as PWL" (compare
 Morris et al., "Weisfeiler and Leman go neural", and Grohe et al.,
 "Dimension reduction via colour refinement").  ``forward`` therefore runs
 each layer on one representative per class, with the representative's
-boundary row and upper triples remapped to class ids, and sum-pools with
+boundary row and upper entries remapped to class ids, and sum-pools with
 the class sizes.  The stable coloring comes from
 :func:`pathcomplex.refine.stable_colors`: built on the first forward that
 runs a layer, cached on the complex, and also filled by any reduced-rule
@@ -33,9 +33,18 @@ it is given.  ``embed(c, params)`` is the forward of ``c``'s own
 the class plan, so it allocates no member-size feature array and needs no
 check that they are constant on the classes.
 
-Each layer allocates little: a segment sum is one ``bincount`` pass over a
-flat (row, column) index, the ELU overwrites the fresh array it is given,
-and the upper messages are gathered and biased in place.
+Each layer costs one pass per distinct message.  The plan holds each
+dimension's distinct (neighbor class, witness class) pairs, so a layer
+computes one upper message per pair, not per witness triple: on
+SR(35,18,9,9) #2 at dimension 2, 88,849 pairs stand for 194,880 entries.
+Every segment sum (boundary and upper aggregation, and the initial
+features) runs over one layout built with the plan: rows ranked by
+descending entry count, entries laid out by position, so slice ``j`` adds
+the ``j``-th entry of every row that has one into a prefix of the ranked
+sums.  Each row is summed as ``0.0 + v0 + v1 + ...`` in entry order, the
+order in which ``bincount`` sums it, so the bytes are those of a
+``bincount``.  The ELU overwrites the fresh array it is given, and the
+upper messages are gathered and biased in place.
 
 Weights are drawn once from a seeded PCG64 generator, uniform on
 ``[-sqrt(1/fan_in), +sqrt(1/fan_in)]``, in a fixed (layer, dimension, block)
@@ -54,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexes import HigherOrderComplex
+from .complexes import HigherOrderComplex, _row_keys
 from .refine import stable_colors
 
 __all__ = [
@@ -131,6 +140,8 @@ class NetworkParams:
     ) -> "NetworkParams":
         NetworkParams.check_seed(seed)
         NetworkParams.check_shape(layers, hidden_dim, embed_dim)
+        if max_dim < 0:
+            raise ValueError(f"max_dim must be non-negative, got {max_dim}")
         rng = np.random.default_rng(seed)
 
         def draw(fan_in, fan_out):
@@ -178,24 +189,26 @@ def init_features(c: HigherOrderComplex, hidden_dim: int = 16) -> FeatureState:
     """Populate features bottom-up: ones at dimension 0, then the sum of
     boundary features at each higher dimension."""
     off = c.dim_offsets
-    entries = (_boundary_rows(c, np.arange(off[p], off[p + 1]))
-               for p in range(1, c.max_dim + 1))
-    # face ids of dimension p start at off[p - 1]
-    boundaries = ((src, faces - lo) for (src, faces), lo in zip(entries, off))
-    return FeatureState(_boundary_sums(c.counts(), boundaries, hidden_dim))
+    indptr, indices = c.boundary_csr()
+
+    def boundary(p):
+        rows = indptr[off[p]:off[p + 1] + 1]
+        # face ids of dimension p start at off[p - 1]
+        return _segments(np.diff(rows), indices[rows[0]:rows[-1]] - off[p - 1])
+
+    return FeatureState(_boundary_sums(
+        c.counts()[0], map(boundary, range(1, c.max_dim + 1)), hidden_dim))
 
 
-def _boundary_sums(sizes, boundaries, hidden_dim: int) -> list:
-    """Ones on the ``sizes[0]`` rows of dimension 0, then on each of the
-    ``sizes[p]`` rows above the sum of its faces' rows, with ``boundaries``
-    yielding each dimension's entries as (row, face row one dimension down).
-    Every column is the same, so one is summed and repeated."""
-    column = np.ones(sizes[0])
-    values = [np.ones((sizes[0], hidden_dim))]
-    for size, (src, faces) in zip(sizes[1:], boundaries):
-        # the cast matters only for an empty dimension, whose bincount is int
-        column = np.bincount(src, weights=column[faces],
-                             minlength=size).astype(np.float64, copy=False)
+def _boundary_sums(size: int, boundaries, hidden_dim: int) -> list:
+    """Ones on the ``size`` rows of dimension 0, then on each row above the
+    sum of its faces' rows, with ``boundaries`` yielding each dimension's
+    :class:`_Segments` over the face rows one dimension down.  Every column
+    is the same, so one is summed and repeated."""
+    column = np.ones(size)
+    values = [np.ones((size, hidden_dim))]
+    for segments in boundaries:
+        column = _segment_sum(column, segments)
         values.append(np.repeat(column[:, None], hidden_dim, axis=1))
     return values
 
@@ -210,24 +223,70 @@ def _ranges(starts: np.ndarray, ends: np.ndarray):
 
 
 def _boundary_rows(c: HigherOrderComplex, members: np.ndarray):
-    """Boundary entries of ``members`` as (row in ``members``, face id)."""
+    """Boundary row lengths of ``members`` and their face ids, row after
+    row."""
     indptr, indices = c.boundary_csr()
-    row, pos = _ranges(indptr[members], indptr[members + 1])
-    return row, indices[pos]
+    starts, ends = indptr[members], indptr[members + 1]
+    return ends - starts, indices[_ranges(starts, ends)[1]]
+
+
+class _Segments(NamedTuple):
+    """Entries grouped into rows, laid out for :func:`_segment_sum`.
+
+    The rows are ranked by descending entry count, ties by row id, and
+    ``index`` holds the entries by position: slice ``j`` is the ``j``-th
+    entry of each of the first ``counts[j]`` ranked rows.
+    """
+
+    order: np.ndarray  # row id of each rank
+    counts: list  # ranked rows per slice, non-increasing
+    index: np.ndarray  # each entry's row of the summed values, slice by slice
+
+
+def _segments(lens: np.ndarray, index: np.ndarray) -> _Segments:
+    """The layout of rows of ``lens`` entries, with ``index`` holding the
+    entries row after row, each row's in order."""
+    order = np.argsort(-lens, kind="stable")
+    counts = lens.size - np.cumsum(np.bincount(lens))[:-1]  # rows longer than j
+    slot, rank = _ranges(np.zeros_like(counts), counts)
+    row_start = np.cumsum(lens) - lens
+    return _Segments(order, counts.tolist(), index[row_start[order[rank]] + slot])
+
+
+def _segment_sum(values: np.ndarray, segments: _Segments) -> np.ndarray:
+    """Row ``i`` of the result sums ``values[e]`` over the entries ``e`` of
+    row ``i`` of ``segments``, as ``0.0 + v0 + v1 + ...`` in entry order.
+
+    That is the order in which ``np.bincount`` accumulates a bin, so the
+    sums are the bytes of a per-column ``bincount``.  Each slice adds one
+    entry to every ranked row that has one, into a prefix of the ranked
+    sums, which are put back in row order at the end.
+    """
+    order, counts, index = segments
+    out = np.zeros((order.size,) + values.shape[1:])
+    start = 0
+    for n in counts:
+        out[:n] += values.take(index[start:start + n], axis=0)
+        start += n
+    result = np.empty_like(out)
+    result[order] = out
+    return result
 
 
 class _Classes(NamedTuple):
     """One dimension of a complex at the level of its stable classes.
 
-    Ids are local to their dimension; ``boundary`` and ``upper`` are the
-    representatives' entries in member-level order.
+    Ids are local to their dimension.  Each representative's entries keep
+    their member-level order; an upper entry names one of the distinct
+    (neighbor class, witness class) ``pairs``.
     """
 
     member_class: np.ndarray  # each member's class
     rep: np.ndarray  # each class's representative, its lowest member
     sizes: np.ndarray  # members per class
-    boundary: tuple  # (class, face class)
-    upper: tuple  # (class, neighbor class, witness class)
+    boundary: _Segments  # face classes
+    upper: _Segments  # pair ids
+    pairs: tuple  # (neighbor class, witness class) of each distinct pair
 
 
 def _class_incidence(c: HigherOrderComplex) -> tuple:
@@ -247,32 +306,23 @@ def _class_incidence(c: HigherOrderComplex) -> tuple:
     for p in range(c.max_dim + 1):
         lo, hi = c.dim_offsets[p], c.dim_offsets[p + 1]
         rep = reps[first[p]:first[p + 1]]
-        src, faces = _boundary_rows(c, rep)
-        boundary = (src, colors[faces] - first[p - 1])  # empty at p = 0
-        src, pos = _ranges(np.searchsorted(up_src, rep, "left"),
-                           np.searchsorted(up_src, rep, "right"))
-        upper = (src, colors[up_tau[pos]] - first[p],
-                 colors[up_delta[pos]] - first[p + 1])
+        lens, faces = _boundary_rows(c, rep)
+        # empty at p = 0
+        boundary = _segments(lens, colors[faces] - first[p - 1])
+        starts = np.searchsorted(up_src, rep, "left")
+        ends = np.searchsorted(up_src, rep, "right")
+        pos = _ranges(starts, ends)[1]
+        tau = colors[up_tau[pos]] - first[p]
+        delta = colors[up_delta[pos]] - first[p + 1]
+        keys, pair_id = np.unique(_row_keys((tau, delta)), return_inverse=True)
+        pairs = np.empty((2, keys.size), dtype=tau.dtype)
+        pairs[:, pair_id] = tau, delta
         out.append(_Classes(colors[lo:hi] - first[p], rep - lo,
-                            sizes[first[p]:first[p + 1]], boundary, upper))
+                            sizes[first[p]:first[p + 1]],
+                            boundary, _segments(ends - starts, pair_id),
+                            tuple(pairs)))
     c._class_plan = tuple(out)
     return c._class_plan
-
-
-def _segment_sum(values: np.ndarray, src: np.ndarray, n_out: int) -> np.ndarray:
-    """Row ``i`` of the result sums the rows ``values[src == i]``.
-
-    One ``bincount`` over the flat index ``src * width + column``: every
-    bin accumulates its entries sequentially in entry order, so the sums are
-    the bytes of a per-column ``bincount``.  The index is as large as
-    ``values`` and built on each call.
-    """
-    width = values.shape[1]
-    flat = src[:, None] * width + np.arange(width)
-    out = np.bincount(flat.ravel(), weights=values.ravel(),
-                      minlength=n_out * width)
-    # an empty src gives an int64 result
-    return out.astype(np.float64, copy=False).reshape(n_out, width)
 
 
 def _check_max_dim(c: HigherOrderComplex, params: NetworkParams):
@@ -289,14 +339,20 @@ def forward(
 ) -> np.ndarray:
     """Run the message-passing layers and read out one embedding vector.
 
-    The layers run on one representative per stable reduced-rule class of
-    ``c``, so ``feats`` must be constant on those classes, as
-    :func:`init_features` is; a ``ValueError`` says where it is not.  The
-    first call that runs a layer builds the stable coloring and caches it
-    on ``c``.
+    ``feats`` holds one finite ``(members, hidden_dim)`` block per
+    dimension.  The layers run on one representative per stable
+    reduced-rule class of ``c``, so the blocks must also be constant on
+    those classes, as :func:`init_features` is.  A ``ValueError`` says
+    which of these fails, and where.  The first call that runs a layer
+    builds the stable coloring and caches it on ``c``.
     """
     d = params.hidden_dim
     _check_max_dim(c, params)
+    if len(feats.values) != c.max_dim + 1:
+        raise ValueError(
+            f"expected {c.max_dim + 1} feature blocks, one per dimension, "
+            f"got {len(feats.values)}"
+        )
     h = [np.asarray(v, dtype=np.float64) for v in feats.values]
     counts = c.counts()
     for p, block in enumerate(h):
@@ -307,16 +363,28 @@ def forward(
             )
     if params.layers == 0:
         # nothing to propagate, so no classes are needed
-        return _readout(c, [block.sum(axis=0) for block in h], params)
+        pooled = [block.sum(axis=0) for block in h]
+        for p, total in enumerate(pooled):
+            if not np.all(np.isfinite(total)):  # or a finite sum overflowed
+                _check_finite(h[p], p)
+        return _readout(c, pooled, params)
     classes = _class_incidence(c)
     for p, cls in enumerate(classes):
-        if not np.array_equal(h[p][cls.rep][cls.member_class], h[p]):
+        rows = h[p][cls.rep]
+        if not np.array_equal(rows[cls.member_class], h[p]):
+            _check_finite(h[p], p)  # a NaN is unequal to itself
             raise ValueError(
                 f"features at dimension {p} are not constant on the stable "
                 "color classes"
             )
-        h[p] = h[p][cls.rep]
+        _check_finite(rows, p)
+        h[p] = rows
     return _propagate(c, classes, h, params)
+
+
+def _check_finite(block: np.ndarray, p: int):
+    if not np.all(np.isfinite(block)):
+        raise ValueError(f"features at dimension {p} are not finite")
 
 
 def embed(c: HigherOrderComplex, params: NetworkParams) -> np.ndarray:
@@ -332,7 +400,7 @@ def embed(c: HigherOrderComplex, params: NetworkParams) -> np.ndarray:
         return forward(c, init_features(c, params.hidden_dim), params)
     _check_max_dim(c, params)
     classes = _class_incidence(c)
-    h = _boundary_sums([cls.rep.size for cls in classes],
+    h = _boundary_sums(classes[0].rep.size,
                        (cls.boundary for cls in classes[1:]), params.hidden_dim)
     return _propagate(c, classes, h, params)
 
@@ -349,21 +417,19 @@ def _propagate(c: HigherOrderComplex, classes: tuple, h: list,
                 new_h.append(h[p])
                 continue
             blocks = params.layer_weights[t][p]
-            agg_b = np.zeros((k, d))
-            if p >= 1:
-                src, dst = cls.boundary
-                agg_b = _segment_sum(h[p - 1][dst], src, k)
+            # no slices at p = 0, so the sums are zeros
+            agg_b = _segment_sum(h[p - 1], cls.boundary)
             m_b = _elu(_dense(h[p] + agg_b, blocks["boundary"]))
-            src, tau, delta = cls.upper
+            tau, delta = cls.pairs
             agg_u = np.zeros((k, d))
-            if src.size:
+            if tau.size:
                 # the dense layer on [neighbor, witness], split by weight rows
-                # so no (triples, 2d) pair array is built
+                # so no (pairs, 2d) array is built, and run once per pair
                 w, b = blocks["message"]
                 msgs = (h[p] @ w[:d])[tau]
                 msgs += (h[p + 1] @ w[d:])[delta]
                 msgs += b
-                agg_u = _segment_sum(_elu(msgs), src, k)
+                agg_u = _segment_sum(_elu(msgs), cls.upper)
             m_u = _elu(_dense(h[p] + agg_u, blocks["upper"]))
             out = _elu(_dense(np.concatenate([m_b, m_u], axis=1),
                               blocks["update"]))

@@ -5,8 +5,13 @@ import pytest
 
 from pathcomplex import network
 from pathcomplex.bench import load_family
-from pathcomplex.complexes import lift_path_complex, lift_ring_complex
+from pathcomplex.complexes import (
+    lift_clique_complex,
+    lift_path_complex,
+    lift_ring_complex,
+)
 from pathcomplex.graphs import (
+    SimpleGraph,
     apply_permutation,
     complete_graph,
     cycle_graph,
@@ -91,18 +96,146 @@ def reference_forward(c, feats, params):
     return dense(elu(dense(pooled, params.projection[0])), params.projection[1])
 
 
+def flat_plan(c):
+    """Each dimension's class plan in member-level entry order: the
+    representatives, the class sizes, the boundary entries as (row, face
+    class) and the upper entries as (row, neighbor class, witness class),
+    one per witness triple."""
+    colors = stable_colors(c)
+    _, reps, sizes = np.unique(colors, return_index=True, return_counts=True)
+    first = np.searchsorted(reps, c.dim_offsets)
+    indptr, indices = c.boundary_csr()
+    owner = np.repeat(np.arange(c.total), np.diff(indptr))
+    up_src, up_tau, up_delta = c.upper_adjacency()
+    plan = []
+    for p in range(c.max_dim + 1):
+        rep = reps[first[p]:first[p + 1]]
+        b, u = np.isin(owner, rep), np.isin(up_src, rep)
+        plan.append((rep, sizes[first[p]:first[p + 1]],
+                     (np.searchsorted(rep, owner[b]),
+                      colors[indices[b]] - first[p - 1]),
+                     (np.searchsorted(rep, up_src[u]),
+                      colors[up_tau[u]] - first[p],
+                      colors[up_delta[u]] - first[p + 1])))
+    return plan
+
+
+def flat_segment_sum(values, src, n_out):
+    """One ``bincount`` over the flat (row, column) index."""
+    width = values.shape[1]
+    flat = src[:, None] * width + np.arange(width)
+    out = np.bincount(flat.ravel(), weights=values.ravel(),
+                      minlength=n_out * width)
+    return out.astype(np.float64, copy=False).reshape(n_out, width)
+
+
+def flat_propagate(c, plan, h, params):
+    """The class-level layers with one message per upper entry and flat
+    ``bincount`` segment sums, then the readout: the oracle that
+    ``network._propagate`` must match byte for byte."""
+    d = params.hidden_dim
+
+    def dense(x, wb):
+        return x @ wb[0] + wb[1]
+
+    for t in range(params.layers):
+        new_h = []
+        for p, (rep, _, (bsrc, dst), (src, tau, delta)) in enumerate(plan):
+            k = rep.size
+            if k == 0:
+                new_h.append(h[p])
+                continue
+            blocks = params.layer_weights[t][p]
+            agg_b = np.zeros((k, d))
+            if p >= 1:
+                agg_b = flat_segment_sum(h[p - 1][dst], bsrc, k)
+            m_b = where_elu(dense(h[p] + agg_b, blocks["boundary"]))
+            agg_u = np.zeros((k, d))
+            if src.size:
+                w, b = blocks["message"]
+                msgs = (h[p] @ w[:d])[tau]
+                msgs += (h[p + 1] @ w[d:])[delta]
+                msgs += b
+                agg_u = flat_segment_sum(where_elu(msgs), src, k)
+            m_u = where_elu(dense(h[p] + agg_u, blocks["upper"]))
+            new_h.append(where_elu(dense(np.concatenate([m_b, m_u], axis=1),
+                                         blocks["update"])))
+        h = new_h
+    pooled = [sizes.astype(np.float64) @ block
+              for (_, sizes, _, _), block in zip(plan, h)]
+    return network._readout(c, pooled, params)
+
+
+def flat_forward(c, feats, params):
+    """:func:`flat_propagate` on the representatives' rows of ``feats``."""
+    plan = flat_plan(c)
+    h = [np.asarray(v, dtype=np.float64)[rep - lo]
+         for v, (rep, _, _, _), lo in zip(feats.values, plan, c.dim_offsets)]
+    return flat_propagate(c, plan, h, params)
+
+
+def flat_embed(c, params):
+    """:func:`flat_propagate` on ``init_features`` summed per class by
+    ``bincount`` over the representatives' boundary rows."""
+    plan = flat_plan(c)
+    column = np.ones(plan[0][0].size)
+    h = [np.ones((column.size, params.hidden_dim))]
+    for rep, _, (src, faces), _ in plan[1:]:
+        column = np.bincount(src, weights=column[faces],
+                             minlength=rep.size).astype(np.float64, copy=False)
+        h.append(np.repeat(column[:, None], params.hidden_dim, axis=1))
+    return flat_propagate(c, plan, h, params)
+
+
 def where_elu(x):
     """The three-temporary ELU that ``network._elu`` replaces."""
     return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
 
 
 def per_column_segment_sum(values, src, n_out):
-    """One strided ``bincount`` per column, which ``network._segment_sum``
-    replaces."""
+    """One strided ``bincount`` per column, the form that
+    ``network._segment_sum`` replaces."""
     out = np.zeros((n_out, values.shape[1]), dtype=np.float64)
     for j in range(values.shape[1]):
         out[:, j] = np.bincount(src, weights=values[:, j], minlength=n_out)
     return out
+
+
+def per_column_layout_sum(values, segments):
+    """``network._segment_sum`` through :func:`per_column_segment_sum`: the
+    entries in layout order, each named by its row."""
+    order, counts, index = segments
+    counts = np.asarray(counts, dtype=np.int64)
+    rank = np.arange(index.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    gathered = values[index]
+    if gathered.ndim == 1:
+        gathered = gathered[:, None]
+    out = per_column_segment_sum(gathered, order[rank], order.size)
+    return out.reshape((order.size,) + values.shape[1:])
+
+
+def check_segment_sum(values, src, n_out):
+    """``_segment_sum`` over the layout of ``src`` has the bytes of the
+    per-column ``bincount`` of the same entries, gathered through a
+    shuffled index; a single column may also be summed as a 1-D array."""
+    rng = np.random.default_rng(src.size)
+    index = rng.permutation(src.size)
+    table = np.empty_like(values)
+    table[index] = values
+    # the entries row after row, each row's in entry order
+    segments = network._segments(np.bincount(src, minlength=n_out),
+                                 index[np.argsort(src, kind="stable")])
+    assert sorted(segments.order.tolist()) == list(range(n_out))
+    assert segments.counts == sorted(segments.counts, reverse=True)
+    assert sum(segments.counts) == src.size
+    got = network._segment_sum(table, segments)
+    want = per_column_segment_sum(values, src, n_out)
+    assert got.dtype == np.float64
+    assert got.shape == (n_out, values.shape[1])
+    assert got.tobytes() == want.tobytes()
+    column = network._segment_sum(np.ascontiguousarray(table[:, 0]), segments)
+    assert column.shape == (n_out,)
+    assert column.tobytes() == np.ascontiguousarray(want[:, 0]).tobytes()
 
 
 class TestKernels:
@@ -118,11 +251,32 @@ class TestKernels:
         values = rng.normal(scale=10.0, size=(n, width))
         # unsorted; many bins stay empty when n_out exceeds n
         src = rng.integers(0, max(n_out, 1), size=n)
-        got = network._segment_sum(values, src, n_out)
-        want = per_column_segment_sum(values, src, n_out)
-        assert got.dtype == np.float64
-        assert got.shape == (n_out, width)
-        assert got.tobytes() == want.tobytes()
+        check_segment_sum(values, src, n_out)
+
+    @pytest.mark.parametrize("width", [1, 33])
+    @pytest.mark.parametrize("case", [
+        "empty rows", "one long row", "no rows", "unsorted rows",
+        "signed zeros",
+    ])
+    def test_segment_sum_layout_cases(self, case, width):
+        rng = np.random.default_rng(len(case) * 100 + width)
+        if case == "empty rows":  # rows 0, 2, 4 and 5 have no entry
+            src, n_out = np.array([1, 3, 1, 3, 3, 1, 6]), 7
+        elif case == "one long row":  # 3,000 slices, one row in most
+            src = np.concatenate([np.full(3000, 2), [0, 3, 0]])
+            src, n_out = src[rng.permutation(src.size)], 4
+        elif case == "no rows":
+            src, n_out = np.zeros(0, dtype=np.int64), 0
+        elif case == "unsorted rows":  # lengths 1..40 in shuffled rows
+            src = np.repeat(rng.permutation(40), np.arange(1, 41))
+            src, n_out = src[rng.permutation(src.size)], 45
+        else:  # a row of -0.0 sums to +0.0, as in bincount
+            src, n_out = np.array([0, 0, 1, 2, 2, 2]), 3
+        values = rng.normal(scale=10.0, size=(src.size, width))
+        if case == "signed zeros":
+            values[:2] = -0.0
+            values[3:, 0] = [5e-324, -5e-324, -0.0]
+        check_segment_sum(values, src, n_out)
 
     def test_elu_matches_where_form_in_place(self):
         rng = np.random.default_rng(11)
@@ -156,7 +310,7 @@ class TestKernels:
             runs.append((c, init_features(c), params))
         new = [forward(*run) for run in runs]
         monkeypatch.setattr(network, "_elu", where_elu)
-        monkeypatch.setattr(network, "_segment_sum", per_column_segment_sum)
+        monkeypatch.setattr(network, "_segment_sum", per_column_layout_sum)
         old = [forward(*run) for run in runs]
         for a, b in zip(new, old):
             assert a.tobytes() == b.tobytes()
@@ -173,6 +327,47 @@ class TestKernels:
         second = forward(c, init_features(c), params)
         assert c._class_plan is plan  # not rebuilt
         assert first.tobytes() == second.tobytes()
+
+
+class TestFlatOracle:
+    """``forward`` and ``embed`` have the bytes of the class-level layers
+    with per-entry messages and flat ``bincount`` sums."""
+
+    @staticmethod
+    def complexes(case, srg_specs):
+        if case == "SR(35,18,9,9) #2":
+            return [lift_path_complex(load_family(srg_specs["SR(35,18,9,9)"])[2], 3)]
+        if case == "SR(28,12,6,4)":
+            return [lift_path_complex(g, 3)
+                    for g in load_family(srg_specs["SR(28,12,6,4)"])]
+        if case == "star":
+            return [lift_path_complex(
+                SimpleGraph.from_edges(301, [(0, i) for i in range(1, 301)]), 2)]
+        if case == "empty and edgeless":
+            return [lift_path_complex(SimpleGraph.from_edges(n, []), 2)
+                    for n in (0, 5)]
+        rng = np.random.default_rng(17)
+        graphs = [random_graph(n, 0.5, rng) for n in (6, 8, 10, 12)]
+        if case == "clique":
+            return [lift_clique_complex(g, 3) for g in graphs]
+        if case == "ring":
+            return [lift_ring_complex(g, 5) for g in graphs]
+        return [lift_path_complex(g, 3, boundary_mode=case) for g in graphs]
+
+    @pytest.mark.parametrize("case", [
+        "SR(35,18,9,9) #2", "SR(28,12,6,4)", "incidence", "truncation",
+        "clique", "ring", "star", "empty and edgeless",
+    ])
+    def test_forward_and_embed_match(self, case, srg_specs):
+        for i, c in enumerate(self.complexes(case, srg_specs)):
+            for seed in (i, i + 10):
+                params = NetworkParams.create(seed, 4, max_dim=c.max_dim)
+                want = flat_embed(c, params)
+                assert network.embed(c, params).tobytes() == want.tobytes()
+                feats = init_features(c)
+                assert forward(c, feats, params).tobytes() == \
+                    flat_forward(c, feats, params).tobytes()
+                assert forward(c, feats, params).tobytes() == want.tobytes()
 
 
 class TestInitFeatures:
@@ -292,6 +487,31 @@ class TestForward:
         bad = init_features(c, hidden_dim=8)
         with pytest.raises(ValueError, match="shape"):
             forward(c, bad, params)
+
+    @pytest.mark.parametrize("layers", [0, 2])
+    @pytest.mark.parametrize("blocks", [2, 4])
+    def test_feature_block_count_mismatch_rejected(self, layers, blocks):
+        c = lift_path_complex(cycle_graph(5), 2)
+        params = NetworkParams.create(seed=1, layers=layers, max_dim=2)
+        values = init_features(c).values
+        values = (values + values)[:blocks]
+        with pytest.raises(ValueError,
+                           match=f"expected 3 feature blocks.*got {blocks}"):
+            forward(c, FeatureState(values), params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("layers", [0, 2])
+    def test_non_finite_features_rejected(self, bad, layers):
+        c = lift_path_complex(cycle_graph(5), 2)
+        params = NetworkParams.create(seed=1, layers=layers, max_dim=2)
+        values = [v.copy() for v in init_features(c).values]
+        values[0][:] = bad  # constant on the classes, but not finite
+        with pytest.raises(ValueError, match="dimension 0 are not finite"):
+            forward(c, FeatureState(values), params)
+
+    def test_create_rejects_negative_max_dim(self):
+        with pytest.raises(ValueError, match="max_dim"):
+            NetworkParams.create(0, 2, max_dim=-1)
 
     def test_works_on_ring_complexes(self):
         c = lift_ring_complex(complete_graph(4), 4)
