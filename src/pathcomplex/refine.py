@@ -30,8 +30,16 @@ The engine reads every relation in place from each complex's cached,
 read-only index (boundary and co-boundary CSR, upper and lower triples),
 indexing that complex's slice of the joint coloring, so it owns only the
 signature rows and one slot per entry.  A round sorts a relation's entries
-by one in-place key, ``member * width + value``, and takes the values back
-as the keys modulo ``width``.
+within their rows by the key ``row * width + value``, int32 while a
+complex's keys fit it, and takes each value back by subtracting its row's
+``row * width``.  A round does only the entry work whose result can
+change: a round from one color has every value at 0, which the rows hold
+already, and a later round rebuilds and ranks only the rows of members
+that read a class which split in the round before, plus one row for each
+class of the other members, whose rows all equal that one, unless those
+rows hold most of the entries.  Past the key bound of :func:`_codes_fit`
+every round rebuilds every row, since it records the pair table of every
+entry.
 
 Each complex caches its stable reduced-rule coloring
 (:func:`stable_colors`), which the network's class-level forward reads; any
@@ -89,11 +97,13 @@ class _Entries(NamedTuple):
     """One complex's entries of one relation, read in place from its index.
 
     The complex's members are ``lo:hi`` of the joint coloring, and its
-    members own ``lens`` entries each, in ascending member order.  Entry
-    ``e`` reads the complex's member ``ids[e]``, and with it the witness
-    ``witness[e]`` for a pair relation; its sorted value goes to
-    ``flat[positions[e]]``.  ``ids`` and ``witness`` are the complex's own
-    cached arrays, which the engine never writes.
+    members own ``lens`` entries each, in ascending member order, so a
+    member's entries are one contiguous run.  Entry ``e`` reads the
+    complex's member ``ids[e]``, and with it the witness ``witness[e]`` for
+    a pair relation; its sorted value goes to ``flat[positions[e]]``, and the
+    run's sorted values fill the member's slots in order.  ``ids`` and
+    ``witness`` are the complex's own cached arrays, which the engine never
+    writes.
     """
 
     lo: int
@@ -102,10 +112,6 @@ class _Entries(NamedTuple):
     ids: np.ndarray
     witness: Optional[np.ndarray]
     positions: np.ndarray
-
-    def base(self, width: int) -> np.ndarray:
-        """A fresh array of each entry's member times ``width``."""
-        return np.repeat(np.arange(self.lens.size, dtype=np.int64) * width, self.lens)
 
 
 class _JointRefinement:
@@ -125,6 +131,9 @@ class _JointRefinement:
     codes name the previous round's colors.  Only a round past the key bound
     of :func:`_codes_fit` ranks its pairs (:func:`_pair_values`), and then
     it records their tables too.
+
+    Below that bound a round rebuilds only the rows that :meth:`_picked`
+    names, and ``rebuilt`` lists how many entries each round rebuilt.
     """
 
     def __init__(self, complexes: Sequence[HigherOrderComplex], rule: str):
@@ -147,12 +156,17 @@ class _JointRefinement:
         self.colors = np.zeros(self.total, dtype=np.int64)
         self.k = 1 if self.total else 0  # number of distinct colors
         self.rounds = 0
+        self.rebuilt = []  # entries rebuilt, one count per round
+        # per class, whether its parent class of the round before split;
+        # None before the first round
+        self._split = None
 
     def _build_layout(self, relations):
         """Static row slots; ``relations`` hold one (lens, ids, witness ids
         or None) per complex, from :func:`_read`."""
         counts = [np.concatenate([lens for lens, _, _ in parts]) for parts in relations]
-        length = 1 + len(relations) + sum(counts)
+        self.row_entries = sum(counts)  # entries of each member
+        length = 1 + len(relations) + self.row_entries
         order = np.argsort(length, kind="stable")
         starts = np.empty(self.total, dtype=np.int64)
         starts[order] = np.cumsum(length[order]) - length[order]
@@ -183,39 +197,114 @@ class _JointRefinement:
         """One refinement round; returns the number of distinct colors after it."""
         colors, flat, k = self.colors, self.flat, self.k
         flat[self.own_pos] = colors
-        for parts in self.relations:
-            width, ranked = k, None
-            if parts[0].witness is not None:
-                width = k * k
-                if not _codes_fit(k, self.total):
-                    width, ranked = self._rank_pairs(parts)
-            for i, e in enumerate(parts):
-                # two live entry-sized arrays: the sort keys and one gather
-                # (np.take would buffer, and copy the read-only indexes)
-                key = e.base(width)
-                if ranked is not None:
-                    key += ranked[i]
-                else:
-                    own = colors[e.lo:e.hi]
-                    if e.witness is not None:  # the pair code
-                        key += own[e.witness]
-                        own = own * k
-                    key += own[e.ids]
-                # members ascend in entry order, so each sorted key stays in
-                # its entry's row, and every value is below width
-                key.sort()
-                key %= width
-                flat[e.positions] = key
+        fits = _codes_fit(k, self.total)
+        picked, reps = self._picked() if fits else (None, None)
+        rebuilt = 0
+        # a round from one color reads every value as 0, which the entry
+        # slots hold already, unless it must record its pair tables
+        if k > 1 or not fits:
+            for parts in self.relations:
+                width, ranked = k, None
+                if parts[0].witness is not None:
+                    width = k * k
+                    if not fits:
+                        width, ranked = self._rank_pairs(parts)
+                for i, e in enumerate(parts):
+                    rebuilt += self._fill(
+                        e, width, k, None if ranked is None else ranked[i],
+                        None if picked is None else picked[e.lo:e.hi])
         new_colors = np.empty(self.total, dtype=np.int64)
         k = 0
         for members, lo, hi, width in self.groups:
-            distinct, inverse = _rank_rows(flat[lo:hi], width)
+            rows = flat[lo:hi]
+            if picked is not None:
+                mask = picked[members]
+                if not mask.all():
+                    members = members[mask]
+                    rows = rows.reshape(-1, width)[mask].ravel()
+            distinct, inverse = _rank_rows(rows, width)
             new_colors[members] = k + inverse
             k += distinct.size
             _record(self.digest, distinct)
+        if picked is not None:
+            rest = np.flatnonzero(~picked)
+            new_colors[rest] = new_colors[reps[colors[rest]]]
+        parent = np.empty(k, dtype=np.int64)
+        parent[new_colors] = colors
+        self._split = np.bincount(parent, minlength=self.k)[parent] > 1
         self.colors, self.k = new_colors, k
+        self.rebuilt.append(rebuilt)
         self.rounds += 1
         return k
+
+    def _picked(self):
+        """The members whose rows this round rebuilds, as ``(mask, reps)``,
+        or ``(None, None)`` for every member.
+
+        A member is dirty if one of its entries reads, as its id or its
+        witness, a class that split in the round before.  The members of a
+        class read equal multisets of the round before's classes, so either
+        all of them are dirty or none is, and one member per class decides;
+        the rows of a clean class stay equal, so one of them, ``reps[c]``,
+        stands for all.  The mask holds every member of a dirty class and
+        the representative of every clean one, unless their entries pass
+        ``_PICKED_SHARE`` of all.
+        """
+        split = self._split
+        if split is None or split.all():
+            return None, None
+        colors, limit = self.colors, _PICKED_SHARE * self.row_entries.sum()
+        reps = np.empty(self.k, dtype=np.int64)
+        reps[colors] = np.arange(self.total)
+        picked = np.zeros(self.total, dtype=bool)
+        picked[reps] = True
+        if self.row_entries[picked].sum() > limit:
+            return None, None
+        dirty = np.zeros(self.k, dtype=bool)
+        hit = split[colors]
+        for parts in self.relations if split.any() else ():
+            for e in parts:
+                mine = picked[e.lo:e.hi]
+                own = hit[e.lo:e.hi]
+                take = np.repeat(mine, e.lens)
+                reads = own[e.ids[take]]
+                if e.witness is not None:
+                    reads |= own[e.witness[take]]
+                dirty[np.repeat(colors[e.lo:e.hi][mine], e.lens[mine])[reads]] = True
+        picked |= dirty[colors]
+        if self.row_entries[picked].sum() > limit:
+            return None, None
+        return picked, reps
+
+    def _fill(self, e, width, k, ranked, picked):
+        """Write the sorted entry values of complex part ``e``'s members in
+        ``picked`` (every member if None) to ``flat``; returns how many
+        entries it wrote.  ``ranked`` holds every entry's ranked pair value
+        past the key bound, else None."""
+        if not e.ids.size:
+            return 0
+        lens, take = e.lens, slice(None)
+        if picked is not None and not picked.all():
+            lens, take = lens[picked], np.repeat(picked, lens)
+        # live at once: the sort keys, one gather and, for picked members,
+        # one index of their entries (np.take would buffer, and copy the
+        # read-only indexes)
+        dtype = _key_dtype(e.hi - e.lo, width)
+        key = _row_bases(lens, width, dtype)
+        if ranked is not None:
+            key += ranked
+        else:
+            own = self.colors[e.lo:e.hi].astype(dtype)
+            if e.witness is not None:  # the pair code
+                key += own[e.witness[take]]
+                own *= k
+            key += own[e.ids[take]]
+        # a row's keys lie in [row * width, (row + 1) * width), so each
+        # sorted key stays in its own row
+        key.sort()
+        key -= _row_bases(lens, width, dtype)
+        self.flat[e.positions[take]] = key
+        return key.size
 
     def _rank_pairs(self, parts):
         """Past the key bound: the ranks of every complex's pair codes among
@@ -269,6 +358,32 @@ def _read(c: HigherOrderComplex, name: str):
 # of ranked pairs (width at most the entry count) are then below 2**62, and
 # pair codes (width k * k) are kept below it by :func:`_codes_fit`.
 _KEY_BOUND = 2**62
+
+# Bound on a complex's sort keys ``row * width + value``, which lie below its
+# ``members * width``, for sorting them as int32: 400,000 keys took 1.4 ms
+# to sort as int32 and 3.0 ms as int64.
+_INT32_KEYS = 2**31
+
+
+# A round rebuilds only the picked rows (:meth:`_JointRefinement._picked`)
+# while they hold at most this share of the entries, else every row.  A
+# subset keeps an index of its entries (8 bytes each) alive beside the sort
+# keys and one gather, so above 2/3 of the entries it would hold more bytes
+# than a full rebuild with int64 keys; and on SRG path complexes at
+# dimension 3 rebuilding every row was no slower there.
+_PICKED_SHARE = 2 / 3
+
+
+def _key_dtype(members, width):
+    """The dtype of the sort keys of a complex of ``members`` members whose
+    entry values lie below ``width``."""
+    return np.int32 if members * width < _INT32_KEYS else np.int64
+
+
+def _row_bases(lens, width, dtype):
+    """A fresh array of each entry's row times ``width``, for rows of
+    ``lens`` entries."""
+    return np.repeat(np.arange(lens.size, dtype=dtype) * width, lens)
 
 
 def _codes_fit(k, total):

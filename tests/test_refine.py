@@ -28,6 +28,7 @@ from pathcomplex.graphs import (
 from pathcomplex.refine import (
     _JointRefinement,
     _codes_fit,
+    _key_dtype,
     _pair_values,
     _rank_rows,
     _record,
@@ -239,6 +240,211 @@ class TestPairCodeOracle:
                         ref.step()
                         assert np.array_equal(new.colors, ref.colors)
                     assert new.digest.digest() == ref.digest.digest()
+
+
+class FullRebuildRefinement(_JointRefinement):
+    """The engine's round before it skipped entry work: every round sorts
+    every relation's entries as int64 keys, takes the values back with
+    ``%=``, and ranks every row."""
+
+    def step(self):
+        colors, flat, k = self.colors, self.flat, self.k
+        flat[self.own_pos] = colors
+        for parts in self.relations:
+            width, ranked = k, None
+            if parts[0].witness is not None:
+                width = k * k
+                if not _codes_fit(k, self.total):
+                    width, ranked = self._rank_pairs(parts)
+            for i, e in enumerate(parts):
+                key = np.repeat(np.arange(e.lens.size, dtype=np.int64) * width, e.lens)
+                if ranked is not None:
+                    key += ranked[i]
+                else:
+                    own = colors[e.lo:e.hi]
+                    if e.witness is not None:  # the pair code
+                        key += own[e.witness]
+                        own = own * k
+                    key += own[e.ids]
+                key.sort()
+                key %= width
+                flat[e.positions] = key
+        new_colors = np.empty(self.total, dtype=np.int64)
+        k = 0
+        for members, lo, hi, width in self.groups:
+            distinct, inverse = _rank_rows(flat[lo:hi], width)
+            new_colors[members] = k + inverse
+            k += distinct.size
+            _record(self.digest, distinct)
+        self.colors, self.k = new_colors, k
+        self.rounds += 1
+        return k
+
+
+def assert_rounds_like_full_rebuild(complexes, rule, rounds=6):
+    """The engine and :class:`FullRebuildRefinement` side by side: equal
+    colors and digests after every round, past stability too."""
+    new = _JointRefinement(complexes, rule)
+    ref = FullRebuildRefinement(complexes, rule)
+    for t in range(rounds):
+        new.step()
+        ref.step()
+        assert new.k == ref.k, (rule, t)
+        assert np.array_equal(new.colors, ref.colors), (rule, t)
+        assert new.digest.digest() == ref.digest.digest(), (rule, t)
+    return new
+
+
+class TestFullRebuildOracle:
+    """Rounds that skip entry work (int32 keys, no first-round entries, only
+    the rows that can change) against :class:`FullRebuildRefinement`."""
+
+    def test_srg_families(self, srg_specs):
+        from pathcomplex.bench import load_family
+
+        for name, spec in srg_specs.items():
+            lifted = [lift_path_complex(g, 3) for g in load_family(spec)]
+            assert_rounds_like_full_rebuild(lifted, "reduced")
+            if name in ("SR(16,6,2,2)", "SR(26,10,3,4)"):
+                assert_rounds_like_full_rebuild(lifted, "full")
+
+    def test_random_pairs_of_every_kind(self):
+        for g, h in random_pairs(79, 12):
+            for lift in RANDOM_LIFTS:
+                for rule in ("reduced", "full"):
+                    assert_rounds_like_full_rebuild([lift(g), lift(h)], rule)
+
+    def test_empty_edgeless_and_complete_graphs(self):
+        empty, edgeless = SimpleGraph.from_edges(0, []), SimpleGraph.from_edges(5, [])
+        for pair in ((empty, empty), (empty, complete_graph(4)), (edgeless, edgeless),
+                     (complete_graph(6), complete_graph(6))):
+            for rule in ("reduced", "full"):
+                engine = assert_rounds_like_full_rebuild(
+                    [lift_path_complex(g, 3) for g in pair], rule)
+                if pair[0] is edgeless:  # one color throughout: no entry work
+                    assert engine.k == 1 and engine.rebuilt == [0] * 6
+
+    def test_single_complex_and_its_fingerprint(self, srg_specs, monkeypatch):
+        from pathcomplex.bench import load_family
+
+        lifted = [lift_path_complex(g, 3)
+                  for g in load_family(srg_specs["SR(25,12,5,6)"])[:2]]
+        rng = np.random.default_rng(83)
+        lifted += [lift(random_graph(8, 0.5, rng)) for lift in RANDOM_LIFTS]
+        for rule in ("reduced", "full"):
+            for c in lifted:
+                assert_rounds_like_full_rebuild([c], rule)
+            prints = [stable_fingerprint(c, rule) for c in lifted]
+            with monkeypatch.context() as m:
+                m.setattr(refine, "_JointRefinement", FullRebuildRefinement)
+                assert prints == [stable_fingerprint(c, rule) for c in lifted]
+
+    def test_ranked_pairs_rebuild_every_entry(self):
+        # past the key bound every round records every entry's pair table,
+        # so no round skips entry work
+        for g, h in random_pairs(89, 4):
+            for lift in RANDOM_LIFTS:
+                for rule in ("reduced", "full"):
+                    with pytest.MonkeyPatch.context() as m:
+                        m.setattr(refine, "_KEY_BOUND", 0)
+                        engine = assert_rounds_like_full_rebuild([lift(g), lift(h)], rule)
+                    entries = sum(e.ids.size for parts in engine.relations for e in parts)
+                    assert engine.rebuilt == [entries] * 6
+
+
+class TestKeyDtype:
+    """Sort keys are int32 while a complex's ``members * width`` stays below
+    ``_INT32_KEYS``."""
+
+    def test_limit_is_exclusive(self):
+        assert refine._INT32_KEYS == 2**31
+        assert _key_dtype(1, 2**31 - 1) == np.int32
+        assert _key_dtype(2**31 - 1, 1) == np.int32
+        assert _key_dtype(1, 2**31) == np.int64
+        assert _key_dtype(2**16, 2**15) == np.int64
+
+    def test_int64_keys_give_the_same_rounds(self, srg_specs, monkeypatch):
+        from pathcomplex.bench import load_family
+
+        monkeypatch.setattr(refine, "_INT32_KEYS", 0)
+        assert _key_dtype(1, 1) == np.int64
+        pair = [lift_path_complex(g, 3)
+                for g in load_family(srg_specs["SR(16,6,2,2)"])[:2]]
+        for rule in ("reduced", "full"):
+            assert_rounds_like_full_rebuild(pair, rule)
+        for g, h in random_pairs(97, 4):
+            for lift in RANDOM_LIFTS:
+                assert_rounds_like_full_rebuild([lift(g), lift(h)], "reduced")
+
+
+def picked_entries(complexes, before, after):
+    """The entries a reduced-rule round from ``after`` rebuilds, counted
+    from the indexes and two consecutive snapshots alone.
+
+    A class of ``after`` split if its parent class in ``before`` has two or
+    more children; a member is dirty if a face, neighbor or witness is in a
+    split class.  The round rebuilds every dirty member and one member of
+    each class of the others, or every member once those hold more than
+    ``_PICKED_SHARE`` of the entries; a round from one color rebuilds none.
+    """
+    if np.unique(after).size < 2:
+        return 0
+    member, reads, lens, off = [], [], [], 0
+    for c in complexes:
+        indptr, faces = c.boundary_csr()
+        src, nbr, wit = c.upper_adjacency()
+        rows = np.repeat(np.arange(c.total), np.diff(indptr))
+        member += [off + rows, off + src, off + src]
+        reads += [off + faces, off + nbr, off + wit]
+        lens.append(np.diff(indptr) + np.bincount(src, minlength=c.total))
+        off += c.total
+    lens = np.concatenate(lens)
+    parent = np.zeros(after.max() + 1, dtype=np.int64)
+    parent[after] = before
+    split = np.bincount(parent)[parent] >= 2
+    dirty = np.zeros(off, dtype=bool)
+    for m, r in zip(member, reads):
+        dirty[m[split[after[r]]]] = True
+    count = int(lens[dirty].sum())
+    for cls in np.unique(after[~dirty]):
+        sizes = np.unique(lens[(after == cls) & ~dirty])
+        assert sizes.size == 1  # one row length per class
+        count += int(sizes[0])
+    return count if count <= refine._PICKED_SHARE * lens.sum() else int(lens.sum())
+
+
+class TestRebuiltCounts:
+    """``rebuilt`` lists the entries each round rebuilt, as
+    :func:`picked_entries` counts them."""
+
+    @staticmethod
+    def assert_counts(pair, rounds=6):
+        engine = _JointRefinement(pair, "reduced")
+        for _ in range(rounds):
+            engine.step()
+        assert all(type(n) is int for n in engine.rebuilt)
+        trace = refinement_trace(*pair, rounds - 1)
+        want = [picked_entries(pair, before, after)
+                for before, after in zip(trace, trace[1:])]
+        assert engine.rebuilt == [0] + want
+        return engine.rebuilt
+
+    def test_srg_pair(self, srg_specs):
+        from pathcomplex.bench import load_family
+
+        pair = [lift_path_complex(g, 3)
+                for g in load_family(srg_specs["SR(28,12,6,4)"])[:2]]
+        entries = sum(c.boundary_csr()[1].size + c.upper_adjacency()[0].size
+                      for c in pair)
+        rebuilt = self.assert_counts(pair)
+        # every class split after round 1; clean classes are skipped later
+        assert rebuilt[1] == entries and 0 < rebuilt[-1] < entries / 100
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(101)
+        for _ in range(3):
+            g, h = random_graph(20, 0.3, rng), random_graph(20, 0.3, rng)
+            self.assert_counts([lift_path_complex(g, 3), lift_path_complex(h, 3)])
 
 
 class TestRankRows:
