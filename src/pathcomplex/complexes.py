@@ -144,6 +144,7 @@ class HigherOrderComplex:
         self._upper_flat = None
         self._lower_flat = None
         self._stable_colors = None  # filled by refine.stable_colors
+        self._quotient = None  # filled by refine._quotient
         self._class_plan = None  # filled by network._class_incidence
 
     # -- lookups ---------------------------------------------------------
@@ -308,6 +309,15 @@ def _pack(sizes, flat):
     indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
     return indptr, np.array(flat, dtype=np.int64)
+
+
+def _ranges(starts: np.ndarray, ends: np.ndarray):
+    """(row, position) of every entry of the ranges ``[starts[i], ends[i])``."""
+    lens = ends - starts
+    row = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
+    pos = np.arange(int(lens.sum()), dtype=np.int64)
+    pos += np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return row, pos
 
 
 # ---------------------------------------------------------------------------

@@ -110,11 +110,20 @@ def _g6_check_byte(b: int, offset: int) -> int:
 
 
 def parse_graph6(line: str) -> SimpleGraph:
-    """Decode one graph6-encoded graph (short or 4-byte extended-n form)."""
+    """Decode one graph6-encoded graph (short or 4-byte extended-n form).
+
+    Any malformed payload, a text one with a character outside ASCII
+    included, raises :class:`GraphParseError`.
+    """
     if isinstance(line, bytes):
         data = line.strip()
     else:
-        data = line.strip().encode("ascii", errors="surrogateescape")
+        try:
+            data = line.strip().encode("ascii", errors="surrogateescape")
+        except UnicodeEncodeError as exc:
+            raise GraphParseError(
+                f"invalid graph6 character at offset {exc.start}: not ASCII"
+            ) from exc
     if data.startswith(b">>graph6<<"):
         data = data[len(b">>graph6<<"):]
     if not data:

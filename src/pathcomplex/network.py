@@ -22,9 +22,11 @@ the class sizes.  The stable coloring comes from
 :func:`pathcomplex.refine.stable_colors`: built on the first forward that
 runs a layer, cached on the complex, and also filled by any reduced-rule
 engine run that reaches stability (``refine_pair``,
-``stable_fingerprint``).  The class plan built from it (representatives,
-sizes, remapped boundary and upper entries) is cached on the complex beside
-it, so each complex pays for both once.
+``stable_fingerprint``).  The class plan (representatives, sizes,
+remapped boundary and upper entries) is split by dimension from the class
+quotient that a warm ``refine_pair`` refines
+(:func:`pathcomplex.refine._quotient`), and both are cached on the complex
+beside the coloring, so each complex pays for each of them once.
 Low-symmetry complexes, whose classes are about as many as their members,
 gain nothing and pay for the partition once, unless such a run already
 filled it.  A zero-layer forward builds no partition: it pools the features
@@ -63,8 +65,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexes import HigherOrderComplex, _row_keys
-from .refine import stable_colors
+from .complexes import HigherOrderComplex, _ranges, _row_keys
+from .refine import _quotient, stable_colors
 
 __all__ = [
     "NetworkParams",
@@ -213,23 +215,6 @@ def _boundary_sums(size: int, boundaries, hidden_dim: int) -> list:
     return values
 
 
-def _ranges(starts: np.ndarray, ends: np.ndarray):
-    """(row, position) of every entry of the ranges ``[starts[i], ends[i])``."""
-    lens = ends - starts
-    row = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
-    pos = np.arange(int(lens.sum()), dtype=np.int64)
-    pos += np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    return row, pos
-
-
-def _boundary_rows(c: HigherOrderComplex, members: np.ndarray):
-    """Boundary row lengths of ``members`` and their face ids, row after
-    row."""
-    indptr, indices = c.boundary_csr()
-    starts, ends = indptr[members], indptr[members + 1]
-    return ends - starts, indices[_ranges(starts, ends)[1]]
-
-
 class _Segments(NamedTuple):
     """Entries grouped into rows, laid out for :func:`_segment_sum`.
 
@@ -292,34 +277,36 @@ class _Classes(NamedTuple):
 def _class_incidence(c: HigherOrderComplex) -> tuple:
     """The :class:`_Classes` of every dimension of ``c``, cached on ``c``.
 
-    Built once per complex from its stable coloring.  The content is
-    deterministic, so threads that fill one complex at once store equal
-    data and it does not matter which write lands.
+    Built once per complex from its stable coloring and the class quotient
+    (:func:`pathcomplex.refine._quotient`) that a warm ``refine_pair``
+    refines, which holds the representatives, their sizes and their entries
+    remapped to class ids; here they are split by dimension and made local
+    to it.  The content is deterministic, so threads that fill one complex
+    at once store equal data and it does not matter which write lands.
     """
     if c._class_plan is not None:
         return c._class_plan
-    colors = stable_colors(c)
-    _, reps, sizes = np.unique(colors, return_index=True, return_counts=True)
-    first = np.searchsorted(reps, c.dim_offsets)  # each dimension's first class
-    up_src, up_tau, up_delta = c.upper_adjacency()
+    colors, q = stable_colors(c), _quotient(c)
+    first = np.searchsorted(q.rep, c.dim_offsets)  # each dimension's first class
+    indptr, faces = q.boundary
+    up_src, up_tau, up_delta = q.upper
+    up_first = np.searchsorted(up_src, first)  # each dimension's first entry
     out = []
     for p in range(c.max_dim + 1):
         lo, hi = c.dim_offsets[p], c.dim_offsets[p + 1]
-        rep = reps[first[p]:first[p + 1]]
-        lens, faces = _boundary_rows(c, rep)
+        a, b = first[p], first[p + 1]
+        rows = indptr[a:b + 1]
         # empty at p = 0
-        boundary = _segments(lens, colors[faces] - first[p - 1])
-        starts = np.searchsorted(up_src, rep, "left")
-        ends = np.searchsorted(up_src, rep, "right")
-        pos = _ranges(starts, ends)[1]
-        tau = colors[up_tau[pos]] - first[p]
-        delta = colors[up_delta[pos]] - first[p + 1]
+        boundary = _segments(np.diff(rows), faces[rows[0]:rows[-1]] - first[p - 1])
+        entries = slice(up_first[p], up_first[p + 1])
+        tau = up_tau[entries] - first[p]
+        delta = up_delta[entries] - first[p + 1]
         keys, pair_id = np.unique(_row_keys((tau, delta)), return_inverse=True)
         pairs = np.empty((2, keys.size), dtype=tau.dtype)
         pairs[:, pair_id] = tau, delta
-        out.append(_Classes(colors[lo:hi] - first[p], rep - lo,
-                            sizes[first[p]:first[p + 1]],
-                            boundary, _segments(ends - starts, pair_id),
+        lens = np.bincount(up_src[entries] - a, minlength=b - a)
+        out.append(_Classes(colors[lo:hi] - first[p], q.rep[a:b] - lo,
+                            q.sizes[a:b], boundary, _segments(lens, pair_id),
                             tuple(pairs)))
     c._class_plan = tuple(out)
     return c._class_plan

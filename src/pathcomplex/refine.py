@@ -43,7 +43,17 @@ entry.
 
 Each complex caches its stable reduced-rule coloring
 (:func:`stable_colors`), which the network's class-level forward reads; any
-reduced-rule engine run that reaches stability fills it.
+reduced-rule engine run over members that reaches stability fills it.
+Once both complexes of a reduced-rule :func:`refine_pair` hold it, the
+engine refines their class quotients (:func:`_quotient`), one row per
+stable class, instead of their members.  A stable coloring is equitable
+and finer than every round's, so the class rows are the member rows with
+the duplicates dropped, and the colors, counted by class size, and rounds
+are the member-level run's (compare Grohe et al., "Dimension reduction via
+colour refinement"); the key bound reads the member total, so even the
+color ids agree.  The quotient is built once per complex and cached beside
+the coloring, and the network's class plan reads it too.  Cold pairs, the
+full rule, traces and fingerprints refine members.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .complexes import HigherOrderComplex, lift_complex
+from .complexes import HigherOrderComplex, _pack, _ranges, _read_only, lift_complex
 from .graphs import SimpleGraph
 
 __all__ = [
@@ -134,9 +144,14 @@ class _JointRefinement:
 
     Below that bound a round rebuilds only the rows that :meth:`_picked`
     names, and ``rebuilt`` lists how many entries each round rebuilt.
+
+    The parts may instead be class quotients (:class:`_Quotient`), each
+    class a member of its own; ``members``, the member total of their
+    complexes, then decides the key bound, as it does for the complexes.
     """
 
-    def __init__(self, complexes: Sequence[HigherOrderComplex], rule: str):
+    def __init__(self, complexes: Sequence[HigherOrderComplex], rule: str,
+                 members: Optional[int] = None):
         kinds = [c.kind for c in complexes]
         for kind in kinds[1:]:
             if kind != kinds[0]:
@@ -148,6 +163,7 @@ class _JointRefinement:
         for c in complexes:
             self.offsets.append(self.offsets[-1] + c.total)
         self.total = self.offsets[-1]
+        self.members = self.total if members is None else members
         names = ["boundary_csr", "upper_adjacency"]
         if rule == "full":
             names += ["coboundary_csr", "lower_adjacency"]
@@ -197,7 +213,7 @@ class _JointRefinement:
         """One refinement round; returns the number of distinct colors after it."""
         colors, flat, k = self.colors, self.flat, self.k
         flat[self.own_pos] = colors
-        fits = _codes_fit(k, self.total)
+        fits = _codes_fit(k, self.members)
         picked, reps = self._picked() if fits else (None, None)
         rebuilt = 0
         # a round from one color reads every value as 0, which the entry
@@ -323,7 +339,8 @@ class _JointRefinement:
         """Refine to stability, or for at most ``max_rounds`` rounds; returns
         the rounds used.  A reduced-rule run that reaches stability caches
         each complex's slice of the coloring, its own stable partition since
-        refinement is local, as that complex's :func:`stable_colors`."""
+        refinement is local, as that complex's :func:`stable_colors`; a
+        quotient's complex holds it already."""
         if max_rounds is None:
             max_rounds = max(self.total, 1)
         while self.rounds < max_rounds:
@@ -331,13 +348,21 @@ class _JointRefinement:
             if self.step() == k:
                 if self.rule == "reduced":
                     for c, lo, hi in zip(self.complexes, self.offsets, self.offsets[1:]):
-                        _keep_stable(c, self.colors[lo:hi], self.k)
+                        if isinstance(c, HigherOrderComplex):
+                            _keep_stable(c, self.colors[lo:hi], self.k)
                 break
         return self.rounds
 
-    def histogram(self, side: int) -> ColorHistogram:
+    def histogram(self, side: int, sizes: Optional[np.ndarray] = None) -> ColorHistogram:
+        """Color counts of part ``side``, each of its members counted
+        ``sizes`` times (a quotient's class sizes) if given, else once."""
         lo, hi = self.offsets[side], self.offsets[side + 1]
-        values, counts = np.unique(self.colors[lo:hi], return_counts=True)
+        if sizes is None:
+            values, counts = np.unique(self.colors[lo:hi], return_counts=True)
+        else:
+            values, inverse = np.unique(self.colors[lo:hi], return_inverse=True)
+            counts = np.zeros(values.size, dtype=np.int64)
+            np.add.at(counts, inverse, sizes)
         return ColorHistogram(dict(zip(values.tolist(), counts.tolist())))
 
 
@@ -391,7 +416,9 @@ def _codes_fit(k, total):
     members, ``src * k * k + code < total * k * k``, below ``_KEY_BOUND``.
 
     The branch depends only on ``total`` and ``k``, which the digest already
-    holds, so equal fingerprint prefixes take equal branches.
+    holds, so equal fingerprint prefixes take equal branches.  A run on
+    class quotients passes its complexes' member total, so it takes the
+    branch, and with it the color ids, of the member-level run.
     """
     return total * k * k < _KEY_BOUND
 
@@ -485,9 +512,24 @@ def refine_pair(
     reduced-rule run that reaches stability fills both complexes'
     :func:`stable_colors` caches.  A negative ``max_rounds`` raises
     ``ValueError``.
+
+    Under the reduced rule, once both complexes hold their stable colors,
+    the run refines their class quotients (:func:`_quotient`) instead of
+    their members, and each class counts its members in the histograms.
+    Every round's partition of a complex is coarser than its stable one,
+    whose classes are equitable (each member of a class reads the same
+    multiset of classes), so each class's row equals each of its members'
+    rows and gets the same color id, round for round (Grohe et al.,
+    "Dimension reduction via colour refinement").  Any other call refines
+    the members, and that run is what fills the caches.
     """
     if max_rounds is not None:
         _check_rounds("max_rounds", max_rounds)
+    if rule == "reduced" and x._stable_colors is not None and y._stable_colors is not None:
+        qx, qy = _quotient(x), _quotient(y)
+        engine = _JointRefinement([qx, qy], rule, members=x.total + y.total)
+        rounds = engine.run(max_rounds)
+        return engine.histogram(0, qx.sizes), engine.histogram(1, qy.sizes), rounds
     engine = _JointRefinement([x, y], rule)
     rounds = engine.run(max_rounds)
     return engine.histogram(0), engine.histogram(1), rounds
@@ -533,14 +575,64 @@ def stable_colors(c: HigherOrderComplex) -> np.ndarray:
     """Stable reduced-rule color class of every member, cached on the complex.
 
     Runs the engine on ``c`` alone if the cache is empty.  Any reduced-rule
-    engine run that reaches stability fills it (:func:`refine_pair`,
-    :func:`stable_fingerprint`, this function); classes are split by
-    dimension and numbered in order of their lowest member id, so the array
-    is the same whichever run filled it.  The array is shared and read-only.
+    engine run over members that reaches stability fills it
+    (:func:`refine_pair`, :func:`stable_fingerprint`, this function);
+    classes are split by dimension and numbered in order of their lowest
+    member id, so the array is the same whichever run filled it.  The array
+    is shared and read-only.  Once two complexes hold it, a reduced-rule
+    :func:`refine_pair` of them refines their class quotients, and the
+    network's class plan reads the same quotient.
     """
     if c._stable_colors is None:
         _JointRefinement([c], "reduced").run(None)
     return c._stable_colors
+
+
+class _Quotient(NamedTuple):
+    """A complex's stable classes, read by the engine as the members of a
+    complex of their own.
+
+    Class ``i`` stands for its lowest member ``rep[i]``, and ``sizes[i]``
+    counts its members.  Its boundary row and upper triples are those of
+    ``rep[i]``, in member entry order, with every member id replaced by its
+    class.  Classes never span two dimensions and ascend with their
+    representatives, so each dimension's classes and entries are contiguous.
+    """
+
+    kind: str
+    rep: np.ndarray
+    sizes: np.ndarray
+    boundary: tuple  # (indptr, face classes)
+    upper: tuple  # (class, neighbor class, witness class), classes ascending
+
+    @property
+    def total(self) -> int:
+        return self.rep.size
+
+    def boundary_csr(self):
+        return self.boundary
+
+    def upper_adjacency(self):
+        return self.upper
+
+
+def _quotient(c: HigherOrderComplex) -> _Quotient:
+    """The :class:`_Quotient` of ``c``'s :func:`stable_colors`, built once,
+    read-only and cached on ``c``; its content is deterministic, so which of
+    two concurrent fills lands does not matter."""
+    if c._quotient is None:
+        colors = stable_colors(c)
+        _, rep, sizes = np.unique(colors, return_index=True, return_counts=True)
+        indptr, indices = c.boundary_csr()
+        starts, ends = indptr[rep], indptr[rep + 1]
+        boundary = _pack(ends - starts, colors[indices[_ranges(starts, ends)[1]]])
+        src, tau, delta = c.upper_adjacency()
+        row, pos = _ranges(np.searchsorted(src, rep, "left"),
+                           np.searchsorted(src, rep, "right"))
+        c._quotient = _Quotient(
+            c.kind, *_read_only(rep, sizes), _read_only(*boundary),
+            _read_only(row, colors[tau[pos]], colors[delta[pos]]))
+    return c._quotient
 
 
 def _keep_stable(c: HigherOrderComplex, colors: np.ndarray, k: int) -> None:

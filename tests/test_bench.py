@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -58,6 +59,34 @@ class TestManifest:
         (tmp_path / "m.txt").write_text(f"# corpus\n{line}\n")
         with pytest.raises(ManifestError, match=r"m\.txt:2: expected"):
             parse_manifest(tmp_path / "m.txt")
+
+    def test_mutated_manifests_load_or_raise(self, tmp_path, mutate_bytes):
+        # seeded edits of a valid manifest: a token replaced, or a byte of
+        # one line deleted, inserted, replaced or nudged
+        lines = [b"# corpus", b"", b"SR(16,6,2,2) sr16_6_2_2.g6 16 6 2 2",
+                 b"SR(25,12,5,6) sr25_12_5_6.g6 25 12 5 6",
+                 b"SR(26,10,3,4) /data/sr26_10_3_4.g6 26 10 3 4", b""]
+        tokens = (b"", b"-1", b"0", b"x", b"1.5", b"99999999999999999999", b"#",
+                  b"\xff")
+        rng = np.random.default_rng(29)
+        path = tmp_path / "m.txt"
+        for _ in range(500):
+            edited = list(lines)
+            for _ in range(int(rng.integers(1, 4))):
+                i = int(rng.integers(len(edited)))
+                if rng.random() < 0.5:
+                    words = edited[i].split(b" ")
+                    words[int(rng.integers(len(words)))] = tokens[int(rng.integers(len(tokens)))]
+                    edited[i] = b" ".join(words)
+                else:
+                    edited[i] = mutate_bytes(edited[i], rng)
+            path.write_bytes(b"\n".join(edited))
+            start = time.perf_counter()
+            try:
+                assert all(isinstance(spec, FamilySpec) for spec in parse_manifest(path))
+            except ManifestError:
+                pass
+            assert time.perf_counter() - start < 1.0, edited
 
     def test_load_family_validates_parameters(self, tmp_path):
         (tmp_path / "bad.g6").write_text(encode_graph6(path_graph(4)) + "\n")

@@ -1,5 +1,7 @@
 """Graph container, codecs, and permutation machinery."""
 
+import time
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -89,6 +91,30 @@ class TestGraph6:
     def test_empty_payload(self):
         with pytest.raises(GraphParseError):
             parse_graph6("")
+
+    def test_non_ascii_text_names_offset(self):
+        with pytest.raises(GraphParseError, match="offset 1: not ASCII"):
+            parse_graph6("C\u00e9")
+
+    def test_mutated_payloads_load_or_raise(self, mutate_bytes):
+        # seeded byte edits of valid payloads, short and extended form, read
+        # as bytes and as text
+        rng = np.random.default_rng(23)
+        payloads = [encode_graph6(random_graph(int(rng.integers(0, 80)), 0.4, rng))
+                    .encode("ascii") for _ in range(20)]
+        for trial in range(2000):
+            data = payloads[trial % len(payloads)]
+            for _ in range(int(rng.integers(1, 4))):
+                data = mutate_bytes(data, rng)
+            start = time.perf_counter()
+            try:
+                assert isinstance(
+                    parse_graph6(data if trial % 2 else data.decode("latin-1")),
+                    SimpleGraph)
+            except GraphParseError:
+                pass
+            assert time.perf_counter() - start < 1.0, data
+
 
 
 class TestEdgeList:

@@ -9,7 +9,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from pathcomplex import refine
+from pathcomplex import network, refine
 from pathcomplex.complexes import (
     cyclic_families,
     lift_clique_complex,
@@ -1007,6 +1007,139 @@ class TestStableColorCache:
         c = lift_path_complex(C6, 3)
         stable_fingerprint(c)
         assert np.array_equal(c._stable_colors, stable_colors(lift_path_complex(C6, 3)))
+
+
+class TestQuotientOracle:
+    """A warm ``refine_pair``, with both stable colorings cached, refines
+    the class quotients; its histograms (color ids and counts) and rounds
+    equal those of the member-level engine on uncached copies."""
+
+    @staticmethod
+    def member_level(x, y, max_rounds=None):
+        engine = _JointRefinement([x, y], "reduced")
+        rounds = engine.run(max_rounds)
+        return engine.histogram(0).counts, engine.histogram(1).counts, rounds
+
+    @staticmethod
+    def warm(x, y, max_rounds=None):
+        ha, hb, rounds = refine_pair(x, y, max_rounds=max_rounds)
+        assert x._quotient is not None and y._quotient is not None
+        return ha.counts, hb.counts, rounds
+
+    @staticmethod
+    def cached_bytes(cs):
+        return [a.tobytes() for c in cs
+                for a in (*c.boundary_csr(), *c.upper_adjacency(), c._stable_colors)]
+
+    def assert_pairs(self, lift, graphs, **kw):
+        """Every pair of ``graphs`` warm against the member-level engine."""
+        warm = [lift(g) for g in graphs]
+        for c in warm:
+            stable_colors(c)
+        before = self.cached_bytes(warm)
+        cold = [lift(g) for g in graphs]
+        for i, j in itertools.combinations(range(len(graphs)), 2):
+            assert self.warm(warm[i], warm[j], **kw) == \
+                self.member_level(cold[i], cold[j], **kw), (i, j)
+        assert self.cached_bytes(warm) == before
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_srg_families(self, srg_specs, dim):
+        from pathcomplex.bench import load_family
+
+        for spec in srg_specs.values():
+            self.assert_pairs(lambda g: lift_path_complex(g, dim), load_family(spec))
+
+    def test_random_pairs_of_every_kind(self):
+        for g, h in random_pairs(97, 24):
+            for lift in RANDOM_LIFTS:
+                self.assert_pairs(lift, [g, h])
+
+    def test_every_round_limit(self, srg_specs):
+        from pathcomplex.bench import load_family
+
+        cases = [(RANDOM_LIFTS[0], load_family(srg_specs["SR(25,12,5,6)"])[:2])]
+        cases += [(lift, pair) for pair in random_pairs(101, 6) for lift in RANDOM_LIFTS]
+        for lift, (g, h) in cases:
+            needed = self.member_level(lift(g), lift(h))[2]
+            for max_rounds in range(needed + 2):
+                self.assert_pairs(lift, [g, h], max_rounds=max_rounds)
+
+    def test_key_bound_reads_the_member_total(self, srg_specs, monkeypatch):
+        # a bound between the class and the member keys of round 2 on: a
+        # stable round's ids follow from its own colors alone, so a bound
+        # met only there would show no branch; branching on the class total
+        # changes the color ids
+        from pathcomplex.bench import load_family
+
+        cases = [(RANDOM_LIFTS[0], load_family(srg_specs["SR(25,12,5,6)"])[:2])]
+        cases += [(lift, pair) for pair in random_pairs(103, 6) for lift in RANDOM_LIFTS]
+        straddled = 0
+        for lift, (g, h) in cases:
+            x, y = lift(g), lift(h)
+            engine = _JointRefinement([x, y], "reduced")
+            k = engine.step()
+            engine.run(None)
+            classes = refine._quotient(x).total + refine._quotient(y).total
+            if classes == engine.total:
+                continue
+            bound = (classes + engine.total) * k * k // 2
+            assert classes * k * k < bound <= engine.total * k * k
+            straddled += 1
+            with monkeypatch.context() as m:
+                m.setattr(refine, "_KEY_BOUND", bound)
+                self.assert_pairs(lift, [g, h])
+        assert straddled > 1
+
+    @pytest.mark.parametrize("fill", [
+        stable_colors,
+        stable_fingerprint,
+        lambda c: refine_pair(c, c),
+        lambda c: network.embed(c, network.NetworkParams.create(0, 2, c.max_dim)),
+    ], ids=["stable_colors", "stable_fingerprint", "refine_pair", "embed"])
+    def test_every_cache_filler(self, fill):
+        for g, h in random_pairs(107, 6):
+            for lift in RANDOM_LIFTS:
+                x, y = lift(g), lift(h)
+                fill(x)
+                fill(y)
+                assert self.warm(x, y) == self.member_level(lift(g), lift(h))
+
+    def test_one_side_cached_runs_on_members_and_fills_the_other(self):
+        for g, h in random_pairs(109, 6):
+            for lift in RANDOM_LIFTS:
+                x, y = lift(g), lift(h)
+                stable_colors(x)
+                ha, hb, rounds = refine_pair(x, y)
+                assert x._quotient is None and y._quotient is None
+                assert (ha.counts, hb.counts, rounds) == \
+                    self.member_level(lift(g), lift(h))
+                assert np.array_equal(y._stable_colors, stable_colors(lift(h)))
+
+    def test_empty_and_edgeless_lifts(self):
+        empty, edgeless = SimpleGraph.from_edges(0, []), SimpleGraph.from_edges(5, [])
+        for pair in ((empty, empty), (empty, complete_graph(4)),
+                     (edgeless, edgeless), (edgeless, complete_graph(5))):
+            for lift in RANDOM_LIFTS:
+                self.assert_pairs(lift, list(pair))
+
+    def test_kind_mismatch_message(self):
+        x, y = lift_path_complex(C6, 2), lift_clique_complex(C6, 2)
+        stable_colors(x)
+        stable_colors(y)
+        with pytest.raises(ValueError) as info:
+            refine_pair(x, y)
+        assert str(info.value) == "complex kinds differ: 'path' vs 'simplex'"
+
+    def test_one_complex_on_both_sides(self, srg_specs):
+        from pathcomplex.bench import load_family
+
+        graphs = load_family(srg_specs["SR(25,12,5,6)"])[:1] + [C6, TWO_K3]
+        for g in graphs:
+            x = lift_path_complex(g, 3)
+            stable_colors(x)
+            assert self.warm(x, x) == self.member_level(
+                lift_path_complex(g, 3), lift_path_complex(g, 3))
 
 
 class TestPowerOrder:
