@@ -171,8 +171,10 @@ class HigherOrderComplex:
 
     def member_id(self, dim: int, carrier: Sequence[int]) -> int:
         """Global id of a canonical carrier; ``KeyError`` if it is no member."""
-        rows = self.carriers[dim]
         key = tuple(carrier)
+        if not 0 <= dim <= self.max_dim:
+            raise KeyError((dim, key))
+        rows = self.carriers[dim]
         if len(key) > rows.shape[1] or min(key, default=0) < 0:
             raise KeyError(key)
         lo, hi = 0, len(rows)
@@ -186,6 +188,8 @@ class HigherOrderComplex:
         return self.dim_offsets[dim] + lo
 
     def dim_range(self, p: int) -> range:
+        if not 0 <= p <= self.max_dim:
+            raise IndexError(p)
         return range(self.dim_offsets[p], self.dim_offsets[p + 1])
 
     def boundary_of(self, gid: int) -> np.ndarray:

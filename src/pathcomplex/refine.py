@@ -32,14 +32,10 @@ indexing that complex's slice of the joint coloring, so it owns only the
 signature rows and one slot per entry.  A round sorts a relation's entries
 within their rows by the key ``row * width + value``, int32 while a
 complex's keys fit it, and takes each value back by subtracting its row's
-``row * width``.  A round does only the entry work whose result can
-change: a round from one color has every value at 0, which the rows hold
-already, and a later round rebuilds and ranks only the rows of members
-that read a class which split in the round before, plus one row for each
-class of the other members, whose rows all equal that one, unless those
-rows hold most of the entries.  Past the key bound of :func:`_codes_fit`
-every round rebuilds every row, since it records the pair table of every
-entry.
+``row * width``.  Every round rebuilds every row and ranks it, except
+that a round from one color writes no entries: every value is 0, which the
+rows hold already.  Past the key bound of :func:`_codes_fit` that round
+writes them too, since it records the pair table of every entry.
 
 Each complex caches its stable reduced-rule coloring
 (:func:`stable_colors`), which the network's class-level forward reads; any
@@ -142,8 +138,9 @@ class _JointRefinement:
     of :func:`_codes_fit` ranks its pairs (:func:`_pair_values`), and then
     it records their tables too.
 
-    Below that bound a round rebuilds only the rows that :meth:`_picked`
-    names, and ``rebuilt`` lists how many entries each round rebuilt.
+    Every round rebuilds every entry, except that a round from one color
+    below the key bound writes none, since the rows hold every value at 0
+    already; ``rebuilt`` lists how many entries each round rebuilt.
 
     The parts may instead be class quotients (:class:`_Quotient`), each
     class a member of its own; ``members``, the member total of their
@@ -173,16 +170,12 @@ class _JointRefinement:
         self.k = 1 if self.total else 0  # number of distinct colors
         self.rounds = 0
         self.rebuilt = []  # entries rebuilt, one count per round
-        # per class, whether its parent class of the round before split;
-        # None before the first round
-        self._split = None
 
     def _build_layout(self, relations):
         """Static row slots; ``relations`` hold one (lens, ids, witness ids
         or None) per complex, from :func:`_read`."""
         counts = [np.concatenate([lens for lens, _, _ in parts]) for parts in relations]
-        self.row_entries = sum(counts)  # entries of each member
-        length = 1 + len(relations) + self.row_entries
+        length = 1 + len(relations) + sum(counts)
         order = np.argsort(length, kind="stable")
         starts = np.empty(self.total, dtype=np.int64)
         starts[order] = np.cumsum(length[order]) - length[order]
@@ -214,7 +207,6 @@ class _JointRefinement:
         colors, flat, k = self.colors, self.flat, self.k
         flat[self.own_pos] = colors
         fits = _codes_fit(k, self.members)
-        picked, reps = self._picked() if fits else (None, None)
         rebuilt = 0
         # a round from one color reads every value as 0, which the entry
         # slots hold already, unless it must record its pair tables
@@ -226,100 +218,42 @@ class _JointRefinement:
                     if not fits:
                         width, ranked = self._rank_pairs(parts)
                 for i, e in enumerate(parts):
-                    rebuilt += self._fill(
-                        e, width, k, None if ranked is None else ranked[i],
-                        None if picked is None else picked[e.lo:e.hi])
+                    rebuilt += self._fill(e, width, k, None if ranked is None else ranked[i])
         new_colors = np.empty(self.total, dtype=np.int64)
         k = 0
         for members, lo, hi, width in self.groups:
-            rows = flat[lo:hi]
-            if picked is not None:
-                mask = picked[members]
-                if not mask.all():
-                    members = members[mask]
-                    rows = rows.reshape(-1, width)[mask].ravel()
-            distinct, inverse = _rank_rows(rows, width)
+            distinct, inverse = _rank_rows(flat[lo:hi], width)
             new_colors[members] = k + inverse
             k += distinct.size
             _record(self.digest, distinct)
-        if picked is not None:
-            rest = np.flatnonzero(~picked)
-            new_colors[rest] = new_colors[reps[colors[rest]]]
-        parent = np.empty(k, dtype=np.int64)
-        parent[new_colors] = colors
-        self._split = np.bincount(parent, minlength=self.k)[parent] > 1
         self.colors, self.k = new_colors, k
         self.rebuilt.append(rebuilt)
         self.rounds += 1
         return k
 
-    def _picked(self):
-        """The members whose rows this round rebuilds, as ``(mask, reps)``,
-        or ``(None, None)`` for every member.
-
-        A member is dirty if one of its entries reads, as its id or its
-        witness, a class that split in the round before.  The members of a
-        class read equal multisets of the round before's classes, so either
-        all of them are dirty or none is, and one member per class decides;
-        the rows of a clean class stay equal, so one of them, ``reps[c]``,
-        stands for all.  The mask holds every member of a dirty class and
-        the representative of every clean one, unless their entries pass
-        ``_PICKED_SHARE`` of all.
-        """
-        split = self._split
-        if split is None or split.all():
-            return None, None
-        colors, limit = self.colors, _PICKED_SHARE * self.row_entries.sum()
-        reps = np.empty(self.k, dtype=np.int64)
-        reps[colors] = np.arange(self.total)
-        picked = np.zeros(self.total, dtype=bool)
-        picked[reps] = True
-        if self.row_entries[picked].sum() > limit:
-            return None, None
-        dirty = np.zeros(self.k, dtype=bool)
-        hit = split[colors]
-        for parts in self.relations if split.any() else ():
-            for e in parts:
-                mine = picked[e.lo:e.hi]
-                own = hit[e.lo:e.hi]
-                take = np.repeat(mine, e.lens)
-                reads = own[e.ids[take]]
-                if e.witness is not None:
-                    reads |= own[e.witness[take]]
-                dirty[np.repeat(colors[e.lo:e.hi][mine], e.lens[mine])[reads]] = True
-        picked |= dirty[colors]
-        if self.row_entries[picked].sum() > limit:
-            return None, None
-        return picked, reps
-
-    def _fill(self, e, width, k, ranked, picked):
-        """Write the sorted entry values of complex part ``e``'s members in
-        ``picked`` (every member if None) to ``flat``; returns how many
-        entries it wrote.  ``ranked`` holds every entry's ranked pair value
-        past the key bound, else None."""
+    def _fill(self, e, width, k, ranked):
+        """Write the sorted entry values of complex part ``e``'s members to
+        ``flat``; returns how many entries it wrote.  ``ranked`` holds every
+        entry's ranked pair value past the key bound, else None."""
         if not e.ids.size:
             return 0
-        lens, take = e.lens, slice(None)
-        if picked is not None and not picked.all():
-            lens, take = lens[picked], np.repeat(picked, lens)
-        # live at once: the sort keys, one gather and, for picked members,
-        # one index of their entries (np.take would buffer, and copy the
-        # read-only indexes)
+        # live at once: the sort keys and one gather (np.take would buffer,
+        # and copy the read-only indexes)
         dtype = _key_dtype(e.hi - e.lo, width)
-        key = _row_bases(lens, width, dtype)
+        key = _row_bases(e.lens, width, dtype)
         if ranked is not None:
             key += ranked
         else:
             own = self.colors[e.lo:e.hi].astype(dtype)
             if e.witness is not None:  # the pair code
-                key += own[e.witness[take]]
+                key += own[e.witness]
                 own *= k
-            key += own[e.ids[take]]
+            key += own[e.ids]
         # a row's keys lie in [row * width, (row + 1) * width), so each
         # sorted key stays in its own row
         key.sort()
-        key -= _row_bases(lens, width, dtype)
-        self.flat[e.positions[take]] = key
+        key -= _row_bases(e.lens, width, dtype)
+        self.flat[e.positions] = key
         return key.size
 
     def _rank_pairs(self, parts):
@@ -388,15 +322,6 @@ _KEY_BOUND = 2**62
 # ``members * width``, for sorting them as int32: 400,000 keys took 1.4 ms
 # to sort as int32 and 3.0 ms as int64.
 _INT32_KEYS = 2**31
-
-
-# A round rebuilds only the picked rows (:meth:`_JointRefinement._picked`)
-# while they hold at most this share of the entries, else every row.  A
-# subset keeps an index of its entries (8 bytes each) alive beside the sort
-# keys and one gather, so above 2/3 of the entries it would hold more bytes
-# than a full rebuild with int64 keys; and on SRG path complexes at
-# dimension 3 rebuilding every row was no slower there.
-_PICKED_SHARE = 2 / 3
 
 
 def _key_dtype(members, width):

@@ -654,6 +654,17 @@ class TestMemberIdRange:
             with pytest.raises(IndexError):
                 accessor(gid)
 
+    @pytest.mark.parametrize("dim", [-1, -2, -3, 3, 4])
+    def test_dimensions_outside_the_complex_raise(self, dim):
+        # path_graph(4) to dimension 2: a negative dimension would wrap around
+        c = lift_path_complex(path_graph(4), 2)
+        assert c.total == 9 and c.member_id(2, (0, 1, 2)) == 7
+        assert c.dim_range(2) == range(7, 9)
+        with pytest.raises(KeyError):
+            c.member_id(dim, (0, 1, 2))
+        with pytest.raises(IndexError):
+            c.dim_range(dim)
+
     def test_dim_of_passes_empty_dimensions(self):
         c = lift_path_complex(path_graph(3), 4)  # dimensions 3 and 4 are empty
         assert c.counts() == [3, 2, 1, 0, 0]

@@ -243,9 +243,9 @@ class TestPairCodeOracle:
 
 
 class FullRebuildRefinement(_JointRefinement):
-    """The engine's round before it skipped entry work: every round sorts
-    every relation's entries as int64 keys, takes the values back with
-    ``%=``, and ranks every row."""
+    """The engine's round without its two savings: every round, the one
+    from one color too, sorts every relation's entries as int64 keys, takes
+    the values back with ``%=``, and ranks every row."""
 
     def step(self):
         colors, flat, k = self.colors, self.flat, self.k
@@ -283,21 +283,27 @@ class FullRebuildRefinement(_JointRefinement):
 
 def assert_rounds_like_full_rebuild(complexes, rule, rounds=6):
     """The engine and :class:`FullRebuildRefinement` side by side: equal
-    colors and digests after every round, past stability too."""
+    colors and digests after every round, past stability too.  The engine
+    rebuilds no entry in a round from at most one color while the pair
+    codes fit the key bound, and every entry in any other round."""
     new = _JointRefinement(complexes, rule)
     ref = FullRebuildRefinement(complexes, rule)
+    entries = sum(e.ids.size for parts in new.relations for e in parts)
     for t in range(rounds):
+        skips = new.k <= 1 and _codes_fit(new.k, new.members)
         new.step()
         ref.step()
         assert new.k == ref.k, (rule, t)
         assert np.array_equal(new.colors, ref.colors), (rule, t)
         assert new.digest.digest() == ref.digest.digest(), (rule, t)
+        assert type(new.rebuilt[t]) is int, (rule, t)
+        assert new.rebuilt[t] == (0 if skips else entries), (rule, t)
     return new
 
 
 class TestFullRebuildOracle:
-    """Rounds that skip entry work (int32 keys, no first-round entries, only
-    the rows that can change) against :class:`FullRebuildRefinement`."""
+    """Rounds with int32 keys and no entry work from one color against
+    :class:`FullRebuildRefinement`."""
 
     def test_srg_families(self, srg_specs):
         from pathcomplex.bench import load_family
@@ -375,76 +381,6 @@ class TestKeyDtype:
         for g, h in random_pairs(97, 4):
             for lift in RANDOM_LIFTS:
                 assert_rounds_like_full_rebuild([lift(g), lift(h)], "reduced")
-
-
-def picked_entries(complexes, before, after):
-    """The entries a reduced-rule round from ``after`` rebuilds, counted
-    from the indexes and two consecutive snapshots alone.
-
-    A class of ``after`` split if its parent class in ``before`` has two or
-    more children; a member is dirty if a face, neighbor or witness is in a
-    split class.  The round rebuilds every dirty member and one member of
-    each class of the others, or every member once those hold more than
-    ``_PICKED_SHARE`` of the entries; a round from one color rebuilds none.
-    """
-    if np.unique(after).size < 2:
-        return 0
-    member, reads, lens, off = [], [], [], 0
-    for c in complexes:
-        indptr, faces = c.boundary_csr()
-        src, nbr, wit = c.upper_adjacency()
-        rows = np.repeat(np.arange(c.total), np.diff(indptr))
-        member += [off + rows, off + src, off + src]
-        reads += [off + faces, off + nbr, off + wit]
-        lens.append(np.diff(indptr) + np.bincount(src, minlength=c.total))
-        off += c.total
-    lens = np.concatenate(lens)
-    parent = np.zeros(after.max() + 1, dtype=np.int64)
-    parent[after] = before
-    split = np.bincount(parent)[parent] >= 2
-    dirty = np.zeros(off, dtype=bool)
-    for m, r in zip(member, reads):
-        dirty[m[split[after[r]]]] = True
-    count = int(lens[dirty].sum())
-    for cls in np.unique(after[~dirty]):
-        sizes = np.unique(lens[(after == cls) & ~dirty])
-        assert sizes.size == 1  # one row length per class
-        count += int(sizes[0])
-    return count if count <= refine._PICKED_SHARE * lens.sum() else int(lens.sum())
-
-
-class TestRebuiltCounts:
-    """``rebuilt`` lists the entries each round rebuilt, as
-    :func:`picked_entries` counts them."""
-
-    @staticmethod
-    def assert_counts(pair, rounds=6):
-        engine = _JointRefinement(pair, "reduced")
-        for _ in range(rounds):
-            engine.step()
-        assert all(type(n) is int for n in engine.rebuilt)
-        trace = refinement_trace(*pair, rounds - 1)
-        want = [picked_entries(pair, before, after)
-                for before, after in zip(trace, trace[1:])]
-        assert engine.rebuilt == [0] + want
-        return engine.rebuilt
-
-    def test_srg_pair(self, srg_specs):
-        from pathcomplex.bench import load_family
-
-        pair = [lift_path_complex(g, 3)
-                for g in load_family(srg_specs["SR(28,12,6,4)"])[:2]]
-        entries = sum(c.boundary_csr()[1].size + c.upper_adjacency()[0].size
-                      for c in pair)
-        rebuilt = self.assert_counts(pair)
-        # every class split after round 1; clean classes are skipped later
-        assert rebuilt[1] == entries and 0 < rebuilt[-1] < entries / 100
-
-    def test_random_pairs(self):
-        rng = np.random.default_rng(101)
-        for _ in range(3):
-            g, h = random_graph(20, 0.3, rng), random_graph(20, 0.3, rng)
-            self.assert_counts([lift_path_complex(g, 3), lift_path_complex(h, 3)])
 
 
 class TestRankRows:
