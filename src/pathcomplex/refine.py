@@ -40,21 +40,29 @@ writes them too, since it records the pair table of every entry.
 Each complex caches its stable reduced-rule coloring
 (:func:`stable_colors`), which the network's class-level forward reads; any
 reduced-rule engine run over members that reaches stability fills it.
-Once both complexes of a reduced-rule :func:`refine_pair` hold it, the
-engine refines their class quotients (:func:`_quotient`), one row per
-stable class, instead of their members.  A stable coloring is equitable
-and finer than every round's, so the class rows are the member rows with
-the duplicates dropped, and the colors, counted by class size, and rounds
-are the member-level run's (compare Grohe et al., "Dimension reduction via
-colour refinement"); the key bound reads the member total, so even the
-color ids agree.  The quotient is built once per complex and cached beside
-the coloring, and the network's class plan reads it too.  Cold pairs, the
-full rule, traces and fingerprints refine members.
+Once both complexes of a :func:`refine_pair` hold it, the engine refines
+their class quotients (:func:`_quotient`), one row per stable class,
+instead of their members.  A stable coloring is equitable and finer than
+every round's, so the class rows are the member rows with the duplicates
+dropped, and the colors, counted by class size, and rounds are the
+member-level run's (compare Grohe et al., "Dimension reduction via colour
+refinement"); the key bound reads the member total, so even the color ids
+agree.  The full rule takes the quotient only when every member of
+dimension >= 1 of both complexes has at least two faces: then the reduced
+stable coloring is equitable for the co-boundary and lower relations too
+(:func:`_full_quotient`).  The quotient is built once per complex and
+cached beside the coloring, and the network's class plan reads it too.
+Cold pairs, traces and fingerprints refine members.
+
+Only :func:`stable_fingerprint` reads a digest, so only its engine run
+feeds one; :func:`refine_pair`, :func:`refinement_trace` and
+:func:`stable_colors` hash nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -136,7 +144,9 @@ class _JointRefinement:
     round's distinct rows, which fix what every color names: a row's pair
     codes name the previous round's colors.  Only a round past the key bound
     of :func:`_codes_fit` ranks its pairs (:func:`_pair_values`), and then
-    it records their tables too.
+    it records their tables too.  With ``digest=False`` the engine hashes
+    nothing and ``digest`` is None; only :func:`stable_fingerprint` reads a
+    digest.
 
     Every round rebuilds every entry, except that a round from one color
     below the key bound writes none, since the rows hold every value at 0
@@ -148,7 +158,7 @@ class _JointRefinement:
     """
 
     def __init__(self, complexes: Sequence[HigherOrderComplex], rule: str,
-                 members: Optional[int] = None):
+                 members: Optional[int] = None, digest: bool = True):
         kinds = [c.kind for c in complexes]
         for kind in kinds[1:]:
             if kind != kinds[0]:
@@ -164,7 +174,7 @@ class _JointRefinement:
         names = ["boundary_csr", "upper_adjacency"]
         if rule == "full":
             names += ["coboundary_csr", "lower_adjacency"]
-        self.digest = hashlib.blake2b(digest_size=16)
+        self.digest = hashlib.blake2b(digest_size=16) if digest else None
         self._build_layout([[_read(c, name) for c in complexes] for name in names])
         self.colors = np.zeros(self.total, dtype=np.int64)
         self.k = 1 if self.total else 0  # number of distinct colors
@@ -196,7 +206,8 @@ class _JointRefinement:
         self.groups = []  # (members, flat start, flat end, row width)
         lo = m_lo = 0
         widths, sizes = np.unique(length, return_counts=True)
-        _record(self.digest, np.concatenate([widths, sizes]))
+        if self.digest is not None:
+            _record(self.digest, np.concatenate([widths, sizes]))
         for width, size in zip(widths.tolist(), sizes.tolist()):
             self.groups.append((order[m_lo:m_lo + size], lo, lo + width * size, width))
             lo += width * size
@@ -225,7 +236,8 @@ class _JointRefinement:
             distinct, inverse = _rank_rows(flat[lo:hi], width)
             new_colors[members] = k + inverse
             k += distinct.size
-            _record(self.digest, distinct)
+            if self.digest is not None:
+                _record(self.digest, distinct)
         self.colors, self.k = new_colors, k
         self.rebuilt.append(rebuilt)
         self.rounds += 1
@@ -259,14 +271,15 @@ class _JointRefinement:
     def _rank_pairs(self, parts):
         """Past the key bound: the ranks of every complex's pair codes among
         the relation's distinct codes, as ``(width, ranks per complex)``;
-        the digest records the table once per relation."""
+        the digest, if any, records the table once per relation."""
         colors = self.colors
         values, width, pairs = _pair_values(
             np.concatenate([colors[e.lo:e.hi][e.ids] for e in parts]),
             np.concatenate([colors[e.lo:e.hi][e.witness] for e in parts]),
             self.k,
         )
-        _record(self.digest, pairs)
+        if self.digest is not None:
+            _record(self.digest, pairs)
         return width, np.split(values, np.cumsum([e.ids.size for e in parts[:-1]]))
 
     def run(self, max_rounds: Optional[int]) -> int:
@@ -420,6 +433,9 @@ def _record(digest, table):
 
 
 def _check_rounds(name, rounds):
+    # a bool is an int to Python, but no round count
+    if isinstance(rounds, bool) or not isinstance(rounds, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {rounds!r}")
     if rounds < 0:
         raise ValueError(f"{name} must be non-negative, got {rounds}")
 
@@ -435,27 +451,36 @@ def refine_pair(
     Returns ``(histogram_x, histogram_y, rounds_used)``; the histograms share
     one round's color ranks so they can be compared directly.  A
     reduced-rule run that reaches stability fills both complexes'
-    :func:`stable_colors` caches.  A negative ``max_rounds`` raises
-    ``ValueError``.
+    :func:`stable_colors` caches.  A ``max_rounds`` that is not an integer
+    (a bool or a float included) raises ``TypeError``, a negative one
+    ``ValueError``.  The run feeds no digest.
 
-    Under the reduced rule, once both complexes hold their stable colors,
-    the run refines their class quotients (:func:`_quotient`) instead of
-    their members, and each class counts its members in the histograms.
-    Every round's partition of a complex is coarser than its stable one,
-    whose classes are equitable (each member of a class reads the same
-    multiset of classes), so each class's row equals each of its members'
-    rows and gets the same color id, round for round (Grohe et al.,
-    "Dimension reduction via colour refinement").  Any other call refines
-    the members, and that run is what fills the caches.
+    Once both complexes hold their stable colors, the run refines their
+    class quotients (:func:`_quotient`) instead of their members, and each
+    class counts its members in the histograms.  Every round's partition of
+    a complex is coarser than its stable one, whose classes are equitable
+    (each member of a class reads the same multiset of classes), so each
+    class's row equals each of its members' rows and gets the same color
+    id, round for round (Grohe et al., "Dimension reduction via colour
+    refinement").  The full rule does so only where :func:`_two_faces`
+    holds for both complexes (:func:`_full_quotient`).  Any other call
+    refines the members, and that run is what fills the caches.
     """
     if max_rounds is not None:
         _check_rounds("max_rounds", max_rounds)
-    if rule == "reduced" and x._stable_colors is not None and y._stable_colors is not None:
-        qx, qy = _quotient(x), _quotient(y)
-        engine = _JointRefinement([qx, qy], rule, members=x.total + y.total)
+    quotient = None
+    if x._stable_colors is not None and y._stable_colors is not None:
+        if rule == "reduced":
+            quotient = _quotient
+        elif rule == "full" and _two_faces(x) and _two_faces(y):
+            quotient = _full_quotient
+    if quotient is not None:
+        qx, qy = quotient(x), quotient(y)
+        engine = _JointRefinement([qx, qy], rule, members=x.total + y.total,
+                                  digest=False)
         rounds = engine.run(max_rounds)
         return engine.histogram(0, qx.sizes), engine.histogram(1, qy.sizes), rounds
-    engine = _JointRefinement([x, y], rule)
+    engine = _JointRefinement([x, y], rule, digest=False)
     rounds = engine.run(max_rounds)
     return engine.histogram(0), engine.histogram(1), rounds
 
@@ -469,10 +494,11 @@ def refinement_trace(
     """Color arrays for rounds 0..rounds of a joint refinement.
 
     Each snapshot lists x's members first, then y's, in member-id order.
-    A negative ``rounds`` raises ``ValueError``.
+    A ``rounds`` that is not an integer (a bool included) raises
+    ``TypeError``, a negative one ``ValueError``.  The run feeds no digest.
     """
     _check_rounds("rounds", rounds)
-    engine = _JointRefinement([x, y], rule)
+    engine = _JointRefinement([x, y], rule, digest=False)
     out = [engine.colors.copy()]
     for _ in range(rounds):
         engine.step()
@@ -504,12 +530,13 @@ def stable_colors(c: HigherOrderComplex) -> np.ndarray:
     (:func:`refine_pair`, :func:`stable_fingerprint`, this function);
     classes are split by dimension and numbered in order of their lowest
     member id, so the array is the same whichever run filled it.  The array
-    is shared and read-only.  Once two complexes hold it, a reduced-rule
-    :func:`refine_pair` of them refines their class quotients, and the
-    network's class plan reads the same quotient.
+    is shared and read-only.  Once two complexes hold it, a
+    :func:`refine_pair` of them refines their class quotients (under the
+    full rule only where :func:`_two_faces` holds), and the network's class
+    plan reads the same quotient.  The run feeds no digest.
     """
     if c._stable_colors is None:
-        _JointRefinement([c], "reduced").run(None)
+        _JointRefinement([c], "reduced", digest=False).run(None)
     return c._stable_colors
 
 
@@ -520,8 +547,10 @@ class _Quotient(NamedTuple):
     Class ``i`` stands for its lowest member ``rep[i]``, and ``sizes[i]``
     counts its members.  Its boundary row and upper triples are those of
     ``rep[i]``, in member entry order, with every member id replaced by its
-    class.  Classes never span two dimensions and ascend with their
-    representatives, so each dimension's classes and entries are contiguous.
+    class; so are its co-boundary row and lower entries, which only
+    :func:`_full_quotient` fills.  Classes never span two dimensions and
+    ascend with their representatives, so each dimension's classes and
+    entries are contiguous.
     """
 
     kind: str
@@ -529,6 +558,8 @@ class _Quotient(NamedTuple):
     sizes: np.ndarray
     boundary: tuple  # (indptr, face classes)
     upper: tuple  # (class, neighbor class, witness class), classes ascending
+    coboundary: Optional[tuple] = None  # (indptr, coface classes)
+    lower: Optional[tuple] = None  # (class, neighbor class, face class)
 
     @property
     def total(self) -> int:
@@ -539,6 +570,12 @@ class _Quotient(NamedTuple):
 
     def upper_adjacency(self):
         return self.upper
+
+    def coboundary_csr(self):
+        return self.coboundary
+
+    def lower_adjacency(self):
+        return self.lower
 
 
 def _quotient(c: HigherOrderComplex) -> _Quotient:
@@ -558,6 +595,53 @@ def _quotient(c: HigherOrderComplex) -> _Quotient:
             c.kind, *_read_only(rep, sizes), _read_only(*boundary),
             _read_only(row, colors[tau[pos]], colors[delta[pos]]))
     return c._quotient
+
+
+def _two_faces(c: HigherOrderComplex) -> bool:
+    """True iff every member of dimension >= 1 of ``c`` has at least two
+    faces, read from its boundary CSR row lengths.
+
+    Then the stable reduced-rule classes are equitable for the co-boundary
+    and lower relations too, so the full rule may refine the quotient.  A
+    member s reads ``|cob(s) & Y| * (b_Y - 1)`` upper pairs witnessed in
+    class ``Y``, whose members have ``b_Y >= 2`` faces each, so its
+    co-faces per class follow from its class.  It reads ``|faces(s) & F| *
+    (|cob(f) & T| - [s in T])`` lower pairs through faces ``f`` of class
+    ``F`` with neighbors in class ``T``, which then follow from it too.  The
+    reduced stable partition is thus the full rule's, and the argument of
+    :func:`refine_pair` carries over.
+    """
+    indptr = c.boundary_csr()[0][c.dim_offsets[1]:]
+    return bool((np.diff(indptr) >= 2).all())
+
+
+def _full_quotient(c: HigherOrderComplex) -> _Quotient:
+    """:func:`_quotient` of ``c`` with each representative's co-boundary row
+    and lower entries, remapped to class ids, built on first use and cached
+    in its place.
+
+    Both come from the representatives' boundary and co-boundary CSR rows
+    alone: for each face f of a representative s, every co-face t != s of
+    f gives the entry (class of t, class of f), so ``lower_adjacency`` is
+    never built.  The engine reads them as class rows only where
+    :func:`_two_faces` holds.
+    """
+    q = _quotient(c)
+    if q.lower is None:
+        colors = stable_colors(c)
+        co_indptr, cofaces = c.coboundary_csr()
+        starts, ends = co_indptr[q.rep], co_indptr[q.rep + 1]
+        coboundary = _pack(ends - starts, colors[cofaces[_ranges(starts, ends)[1]]])
+        indptr, faces = c.boundary_csr()
+        owner, pos = _ranges(indptr[q.rep], indptr[q.rep + 1])
+        face = faces[pos]
+        entry, pos = _ranges(co_indptr[face], co_indptr[face + 1])
+        tau, owner, face = cofaces[pos], owner[entry], face[entry]
+        keep = tau != q.rep[owner]
+        q = q._replace(coboundary=_read_only(*coboundary), lower=_read_only(
+            owner[keep], colors[tau[keep]], colors[face[keep]]))
+        c._quotient = q
+    return q
 
 
 def _keep_stable(c: HigherOrderComplex, colors: np.ndarray, k: int) -> None:

@@ -11,6 +11,7 @@ import pytest
 
 from pathcomplex import network, refine
 from pathcomplex.complexes import (
+    HigherOrderComplex,
     cyclic_families,
     lift_clique_complex,
     lift_path_complex,
@@ -552,6 +553,30 @@ class TestRefinePair:
             refinement_trace(a, b, -2)
         assert len(refinement_trace(a, b, 0)) == 1
 
+    NOT_INTEGERS = [1.5, 2.0, np.float64(1.0), True, False, np.bool_(True), "2"]
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("rounds", NOT_INTEGERS, ids=repr)
+    def test_non_integer_max_rounds(self, rounds, warm):
+        a, b = lift_path_complex(C6, 2), lift_path_complex(TWO_K3, 2)
+        if warm:
+            stable_colors(a)
+            stable_colors(b)
+        for rule in ("reduced", "full"):
+            with pytest.raises(TypeError, match="^max_rounds must be an integer, got "):
+                refine_pair(a, b, rule, max_rounds=rounds)
+
+    @pytest.mark.parametrize("rounds", NOT_INTEGERS + [None], ids=repr)
+    def test_non_integer_trace_rounds(self, rounds):
+        a, b = lift_path_complex(C6, 2), lift_path_complex(TWO_K3, 2)
+        with pytest.raises(TypeError, match="^rounds must be an integer, got "):
+            refinement_trace(a, b, rounds)
+
+    def test_numpy_integer_rounds(self):
+        a, b = lift_path_complex(C6, 2), lift_path_complex(TWO_K3, 2)
+        assert refine_pair(a, b, max_rounds=np.int64(1))[2] == 1
+        assert len(refinement_trace(a, b, np.int32(2))) == 3
+
     def test_determinism(self):
         a = lift_path_complex(C6, 3)
         b = lift_path_complex(TWO_K3, 3)
@@ -951,15 +976,18 @@ class TestQuotientOracle:
     equal those of the member-level engine on uncached copies."""
 
     @staticmethod
-    def member_level(x, y, max_rounds=None):
-        engine = _JointRefinement([x, y], "reduced")
+    def member_level(x, y, max_rounds=None, rule="reduced"):
+        engine = _JointRefinement([x, y], rule)
         rounds = engine.run(max_rounds)
         return engine.histogram(0).counts, engine.histogram(1).counts, rounds
 
     @staticmethod
-    def warm(x, y, max_rounds=None):
-        ha, hb, rounds = refine_pair(x, y, max_rounds=max_rounds)
+    def warm(x, y, max_rounds=None, rule="reduced"):
+        ha, hb, rounds = refine_pair(x, y, rule, max_rounds=max_rounds)
         assert x._quotient is not None and y._quotient is not None
+        if rule == "full":  # generated from the CSR rows, not the lower triples
+            assert x._quotient.lower is not None and y._quotient.lower is not None
+            assert x._lower_flat is None and y._lower_flat is None
         return ha.counts, hb.counts, rounds
 
     @staticmethod
@@ -1076,6 +1104,127 @@ class TestQuotientOracle:
             stable_colors(x)
             assert self.warm(x, x) == self.member_level(
                 lift_path_complex(g, 3), lift_path_complex(g, 3))
+
+    # The SR(35, ...) families are left out: a member-level full-rule pair
+    # of theirs at path dimension 3 takes seconds and over a gigabyte.
+    FULL_RULE_FAMILIES = ("SR(16,6,2,2)", "SR(25,12,5,6)", "SR(26,10,3,4)",
+                          "SR(28,12,6,4)")
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_full_rule_srg_families(self, srg_specs, dim):
+        from pathcomplex.bench import load_family
+
+        for name in self.FULL_RULE_FAMILIES:
+            self.assert_pairs(lambda g: lift_path_complex(g, dim),
+                              load_family(srg_specs[name]), rule="full")
+
+    def test_full_rule_random_pairs_at_every_round_limit(self, srg_specs):
+        from pathcomplex.bench import load_family
+
+        cases = [(RANDOM_LIFTS[0], load_family(srg_specs["SR(26,10,3,4)"])[:2])]
+        cases += [(lift, pair) for pair in random_pairs(113, 24) for lift in RANDOM_LIFTS]
+        for lift, (g, h) in cases:
+            for max_rounds in (None, 0, 1, 2, 3):
+                self.assert_pairs(lift, [g, h], max_rounds=max_rounds, rule="full")
+
+    def test_full_rule_after_a_reduced_pair_and_after_embed(self):
+        # the full quotient extends the cached one in place of it, and the
+        # network's class plan, built from the reduced quotient, still reads
+        for g, h in random_pairs(127, 6):
+            for lift in RANDOM_LIFTS:
+                x, y = lift(g), lift(h)
+                refine_pair(x, y)
+                params = network.NetworkParams.create(0, 2, x.max_dim)
+                before = network.embed(x, params)
+                assert self.warm(x, y, rule="full") == \
+                    self.member_level(lift(g), lift(h), rule="full")
+                assert self.warm(x, y) == self.member_level(lift(g), lift(h))
+                assert np.array_equal(network.embed(x, params), before)
+                x._class_plan = None
+                assert np.array_equal(network.embed(x, params), before)
+
+    @staticmethod
+    def one_faced_edge():
+        """The path 0-1-2 whose edge (1, 2) has the face 1 only.
+
+        The reduced rule never reads that edge's co-faces or pairs, so its
+        stable classes join vertices 0 and 1, whose co-boundaries differ:
+        the full rule splits them.
+        """
+        carriers = [np.arange(3, dtype=np.int64)[:, None],
+                    np.array([[0, 1], [1, 2]], dtype=np.int64)]
+        indptr = np.array([0, 0, 0, 0, 2, 3], dtype=np.int64)
+        return HigherOrderComplex("path", 3, 1, carriers, indptr,
+                                  np.array([0, 1, 1], dtype=np.int64))
+
+    def test_full_rule_guard_falls_back_to_members(self, monkeypatch):
+        builds = [(self.one_faced_edge, self.one_faced_edge),
+                  (self.one_faced_edge, lambda: lift_path_complex(complete_graph(3), 1))]
+        for build_x, build_y in builds:
+            x, y = build_x(), build_y()
+            stable_colors(x)
+            stable_colors(y)
+            assert stable_colors(x)[0] == stable_colors(x)[1]
+            ha, hb, rounds = refine_pair(x, y, "full")
+            assert x._quotient is None or x._quotient.lower is None
+            want = self.member_level(build_x(), build_y(), rule="full")
+            assert (ha.counts, hb.counts, rounds) == want
+            # the quotient would be wrong here: the guard is what keeps it off
+            with monkeypatch.context() as m:
+                m.setattr(refine, "_two_faces", lambda c: True)
+                ha, hb, rounds = refine_pair(x, y, "full")
+            assert (ha.counts, hb.counts, rounds) != want
+
+    def test_two_faces_holds_for_every_lift(self):
+        empty, edgeless = SimpleGraph.from_edges(0, []), SimpleGraph.from_edges(5, [])
+        for g, h in list(random_pairs(131, 6)) + [(empty, edgeless)]:
+            for c in [lift(g) for lift in RANDOM_LIFTS] + [lift_path_complex(h, 0)]:
+                assert refine._two_faces(c)
+        assert not refine._two_faces(self.one_faced_edge())
+
+
+class TestDigestOnlyForFingerprints:
+    """Only ``stable_fingerprint`` reads a digest, so no other run hashes."""
+
+    @pytest.fixture
+    def hashing(self, monkeypatch):
+        calls = []
+        record, blake2b = refine._record, hashlib.blake2b
+
+        def counted_record(*args):
+            calls.append("_record")
+            return record(*args)
+
+        def counted_blake2b(*args, **kwargs):
+            calls.append("blake2b")
+            return blake2b(*args, **kwargs)
+
+        monkeypatch.setattr(refine, "_record", counted_record)
+        monkeypatch.setattr(refine.hashlib, "blake2b", counted_blake2b)
+        return calls
+
+    @pytest.mark.parametrize("key_bound", [refine._KEY_BOUND, 1],
+                             ids=["pair-codes", "ranked-pairs"])
+    def test_no_hashing_outside_the_fingerprint(self, srg_specs, hashing,
+                                                monkeypatch, key_bound):
+        from pathcomplex.bench import load_family
+
+        monkeypatch.setattr(refine, "_KEY_BOUND", key_bound)
+        cases = [(RANDOM_LIFTS[0], load_family(srg_specs["SR(16,6,2,2)"])[:2])]
+        cases += [(lift, pair) for pair in random_pairs(137, 3) for lift in RANDOM_LIFTS]
+        for lift, (g, h) in cases:
+            for rule in ("reduced", "full"):
+                x, y = lift(g), lift(h)
+                refine_pair(x, y, rule)  # cold
+                refinement_trace(x, y, 2, rule)
+                stable_colors(x)
+                stable_colors(y)
+                refine_pair(x, y, rule)  # warm
+                assert x._quotient is not None
+            assert hashing == []
+            stable_fingerprint(lift(g))
+            assert "blake2b" in hashing and "_record" in hashing
+            hashing.clear()
 
 
 class TestPowerOrder:
