@@ -1128,8 +1128,9 @@ class TestQuotientOracle:
                 self.assert_pairs(lift, [g, h], max_rounds=max_rounds, rule="full")
 
     def test_full_rule_after_a_reduced_pair_and_after_embed(self):
-        # the full quotient extends the cached one in place of it, and the
-        # network's class plan, built from the reduced quotient, still reads
+        # the full quotient replaces the cached one, and the network's class
+        # plan gives the same embeddings whether it was built before that or
+        # after
         for g, h in random_pairs(127, 6):
             for lift in RANDOM_LIFTS:
                 x, y = lift(g), lift(h)
