@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import SimpleGraph
+from .graphs import DEFAULT_MEMBER_CAP, CapacityError, SimpleGraph
 
 __all__ = [
     "CapacityError",
@@ -64,13 +64,6 @@ __all__ = [
     "serialize_complex",
     "deserialize_complex",
 ]
-
-DEFAULT_MEMBER_CAP = 50_000_000
-
-
-class CapacityError(RuntimeError):
-    """Member enumeration exceeded the configured cap."""
-
 
 class SerializationError(ValueError):
     """Unreadable or inconsistent serialized complex."""

@@ -35,6 +35,16 @@ class GraphParseError(ValueError):
     """Malformed graph6 or edge-list input."""
 
 
+# The default bound on a lift's members.  It is defined here, and exported
+# from ``complexes``, so that the edge-list reader can refuse a vertex count
+# that no lift under it could take: every lift lists each vertex.
+DEFAULT_MEMBER_CAP = 50_000_000
+
+
+class CapacityError(RuntimeError):
+    """An input or a member enumeration exceeded its cap."""
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """Immutable undirected simple graph on vertices ``0..n-1``.
@@ -221,6 +231,10 @@ def read_graph6_file(path) -> list:
 
 
 def parse_edge_list(text: str) -> SimpleGraph:
+    """The graph of an edge list.  A malformed line raises
+    :class:`GraphParseError` naming it; a header count above
+    ``DEFAULT_MEMBER_CAP`` raises :class:`CapacityError` before anything
+    vertex-sized is allocated."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -239,6 +253,11 @@ def parse_edge_list(text: str) -> SimpleGraph:
                 raise GraphParseError(f"line {lineno}: bad vertex count {parts[1]!r}")
             if n < 0:
                 raise GraphParseError(f"line {lineno}: negative vertex count")
+            if n > DEFAULT_MEMBER_CAP:
+                raise CapacityError(
+                    f"line {lineno}: {n} vertices exceed the member cap "
+                    f"{DEFAULT_MEMBER_CAP}, since every lift lists each vertex"
+                )
             continue
         if len(parts) != 2:
             raise GraphParseError(f"line {lineno}: expected 'u v', got {line!r}")

@@ -23,10 +23,12 @@ the class sizes.  The stable coloring comes from
 runs a layer, cached on the complex, and also filled by any reduced-rule
 engine run that reaches stability (``refine_pair``,
 ``stable_fingerprint``).  The class plan (representatives, sizes,
-remapped boundary and upper entries) is split by dimension from the class
-quotient that a warm ``refine_pair`` refines
-(:func:`pathcomplex.refine._quotient`), and both are cached on the complex
-beside the coloring, so each complex pays for each of them once.
+boundary and upper entries remapped to class ids) is cut by dimension from
+the rows of the class quotient that a warm ``refine_pair`` refines
+(:func:`pathcomplex.refine._quotient`), at the cumulative offsets of their
+entry counts, and both are cached on the complex beside the coloring, so
+each complex pays for each of them once.  The plan keeps no member-size
+array: ``forward`` checks its features against the coloring itself.
 Low-symmetry complexes, whose classes are about as many as their members,
 gain nothing and pay for the partition once, unless such a run already
 filled it.  A zero-layer forward builds no partition: it pools the features
@@ -266,7 +268,6 @@ class _Classes(NamedTuple):
     (neighbor class, witness class) ``pairs``.
     """
 
-    member_class: np.ndarray  # each member's class
     rep: np.ndarray  # each class's representative, its lowest member
     sizes: np.ndarray  # members per class
     boundary: _Segments  # face classes
@@ -277,37 +278,37 @@ class _Classes(NamedTuple):
 def _class_incidence(c: HigherOrderComplex) -> tuple:
     """The :class:`_Classes` of every dimension of ``c``, cached on ``c``.
 
-    Built once per complex from its stable coloring and the class quotient
+    Built once per complex from the class quotient
     (:func:`pathcomplex.refine._quotient`) that a warm ``refine_pair``
-    refines, which holds the representatives, their sizes and their entries
-    remapped to class ids; here they are split by dimension and made local
-    to it.  The content is deterministic, so threads that fill one complex
-    at once store equal data and it does not matter which write lands.
+    refines, which holds the representatives, their sizes and their
+    boundary and upper rows, entries per class and entries remapped to
+    class ids.  Each dimension's classes and entries are contiguous, so
+    they are cut at cumulative offsets and made local to the dimension.
+    The content is deterministic, so threads that fill one complex at once
+    store equal data and it does not matter which write lands.
     """
     if c._class_plan is not None:
         return c._class_plan
-    colors, q = stable_colors(c), _quotient(c)
+    q = _quotient(c)
     first = np.searchsorted(q.rep, c.dim_offsets)  # each dimension's first class
-    indptr, faces = q.boundary
-    up_src, up_tau, up_delta = q.upper
-    up_first = np.searchsorted(up_src, first)  # each dimension's first entry
+    b_lens, faces, _ = q.boundary
+    u_lens, up_tau, up_delta = q.upper
+    # each dimension's first boundary and upper entry
+    b_first = np.concatenate([[0], np.cumsum(b_lens)])[first]
+    u_first = np.concatenate([[0], np.cumsum(u_lens)])[first]
     out = []
     for p in range(c.max_dim + 1):
-        lo, hi = c.dim_offsets[p], c.dim_offsets[p + 1]
         a, b = first[p], first[p + 1]
-        rows = indptr[a:b + 1]
         # empty at p = 0
-        boundary = _segments(np.diff(rows), faces[rows[0]:rows[-1]] - first[p - 1])
-        entries = slice(up_first[p], up_first[p + 1])
+        boundary = _segments(b_lens[a:b], faces[b_first[p]:b_first[p + 1]] - first[p - 1])
+        entries = slice(u_first[p], u_first[p + 1])
         tau = up_tau[entries] - first[p]
         delta = up_delta[entries] - first[p + 1]
         keys, pair_id = np.unique(_row_keys((tau, delta)), return_inverse=True)
         pairs = np.empty((2, keys.size), dtype=tau.dtype)
         pairs[:, pair_id] = tau, delta
-        lens = np.bincount(up_src[entries] - a, minlength=b - a)
-        out.append(_Classes(colors[lo:hi] - first[p], q.rep[a:b] - lo,
-                            q.sizes[a:b], boundary, _segments(lens, pair_id),
-                            tuple(pairs)))
+        out.append(_Classes(q.rep[a:b] - c.dim_offsets[p], q.sizes[a:b], boundary,
+                            _segments(u_lens[a:b], pair_id), tuple(pairs)))
     c._class_plan = tuple(out)
     return c._class_plan
 
@@ -355,10 +356,14 @@ def forward(
             if not np.all(np.isfinite(total)):  # or a finite sum overflowed
                 _check_finite(h[p], p)
         return _readout(c, pooled, params)
-    classes = _class_incidence(c)
+    classes, colors, first = _class_incidence(c), stable_colors(c), 0
     for p, cls in enumerate(classes):
         rows = h[p][cls.rep]
-        if not np.array_equal(rows[cls.member_class], h[p]):
+        # classes are numbered by their lowest member, so each dimension's
+        # are contiguous and start after the lower dimensions' classes
+        member_class = colors[c.dim_offsets[p]:c.dim_offsets[p + 1]] - first
+        first += cls.rep.size
+        if not np.array_equal(rows[member_class], h[p]):
             _check_finite(h[p], p)  # a NaN is unequal to itself
             raise ValueError(
                 f"features at dimension {p} are not constant on the stable "

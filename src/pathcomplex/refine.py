@@ -50,8 +50,11 @@ refinement"); the key bound reads the member total, so even the color ids
 agree.  The full rule takes the quotient only when every member of
 dimension >= 1 of both complexes has at least two faces: then the reduced
 stable coloring is equitable for the co-boundary and lower relations too
-(:func:`_full_quotient`).  The quotient is built once per complex and
-cached beside the coloring, and the network's class plan reads it too.
+(:func:`_two_faces`).  A quotient holds each relation in the form the
+engine reads, entries per class, ids and witness ids, each class's entries
+its lowest member's remapped to class ids.  It is built once per complex,
+its co-boundary and lower rows on the first full-rule pair, and cached
+beside the coloring; the network's class plan cuts its rows by dimension.
 Cold pairs, traces and fingerprints refine members.
 
 Only :func:`stable_fingerprint` reads a digest, so only its engine run
@@ -68,7 +71,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .complexes import HigherOrderComplex, _pack, _ranges, _read_only, lift_complex
+from .complexes import HigherOrderComplex, _ranges, _read_only, lift_complex
 from .graphs import SimpleGraph
 
 __all__ = [
@@ -171,9 +174,9 @@ class _JointRefinement:
             self.offsets.append(self.offsets[-1] + c.total)
         self.total = self.offsets[-1]
         self.members = self.total if members is None else members
-        names = ["boundary_csr", "upper_adjacency"]
+        names = ["boundary", "upper"]
         if rule == "full":
-            names += ["coboundary_csr", "lower_adjacency"]
+            names += ["coboundary", "lower"]
         self.digest = hashlib.blake2b(digest_size=16) if digest else None
         self._build_layout([[_read(c, name) for c in complexes] for name in names])
         self.colors = np.zeros(self.total, dtype=np.int64)
@@ -303,24 +306,22 @@ class _JointRefinement:
     def histogram(self, side: int, sizes: Optional[np.ndarray] = None) -> ColorHistogram:
         """Color counts of part ``side``, each of its members counted
         ``sizes`` times (a quotient's class sizes) if given, else once."""
-        lo, hi = self.offsets[side], self.offsets[side + 1]
-        if sizes is None:
-            values, counts = np.unique(self.colors[lo:hi], return_counts=True)
-        else:
-            values, inverse = np.unique(self.colors[lo:hi], return_inverse=True)
-            counts = np.zeros(values.size, dtype=np.int64)
-            np.add.at(counts, inverse, sizes)
-        return ColorHistogram(dict(zip(values.tolist(), counts.tolist())))
+        counts = np.bincount(self.colors[self.offsets[side]:self.offsets[side + 1]],
+                             weights=sizes).astype(np.int64)
+        values = np.flatnonzero(counts)
+        return ColorHistogram(dict(zip(values.tolist(), counts[values].tolist())))
 
 
-def _read(c: HigherOrderComplex, name: str):
-    """``c``'s cached relation ``name`` in place, as (entries per member,
-    ids, witness ids or None); a CSR's rows and the triples' sources
-    ascend."""
-    index = getattr(c, name)()
-    if len(index) == 2:  # (indptr, indices)
-        return np.diff(index[0]), index[1], None
-    src, ids, witness = index
+def _read(c, name: str):
+    """Relation ``name`` of ``c`` in place, as (entries per member, ids,
+    witness ids or None): a quotient's rows as they are, a complex's read
+    from its cached CSR or triples, whose sources ascend."""
+    if isinstance(c, _Quotient):
+        return getattr(c, name)
+    if name in ("boundary", "coboundary"):
+        indptr, ids = getattr(c, name + "_csr")()
+        return np.diff(indptr), ids, None
+    src, ids, witness = getattr(c, name + "_adjacency")()
     return np.bincount(src, minlength=c.total), ids, witness
 
 
@@ -463,19 +464,14 @@ def refine_pair(
     class's row equals each of its members' rows and gets the same color
     id, round for round (Grohe et al., "Dimension reduction via colour
     refinement").  The full rule does so only where :func:`_two_faces`
-    holds for both complexes (:func:`_full_quotient`).  Any other call
-    refines the members, and that run is what fills the caches.
+    holds for both complexes.  Any other call refines the members, and that
+    run is what fills the caches.
     """
     if max_rounds is not None:
         _check_rounds("max_rounds", max_rounds)
-    quotient = None
-    if x._stable_colors is not None and y._stable_colors is not None:
-        if rule == "reduced":
-            quotient = _quotient
-        elif rule == "full" and _two_faces(x) and _two_faces(y):
-            quotient = _full_quotient
-    if quotient is not None:
-        qx, qy = quotient(x), quotient(y)
+    if (x._stable_colors is not None and y._stable_colors is not None and (
+            rule == "reduced" or rule == "full" and _two_faces(x) and _two_faces(y))):
+        qx, qy = _quotient(x, rule), _quotient(y, rule)
         engine = _JointRefinement([qx, qy], rule, members=x.total + y.total,
                                   digest=False)
         rounds = engine.run(max_rounds)
@@ -545,56 +541,74 @@ class _Quotient(NamedTuple):
     complex of their own.
 
     Class ``i`` stands for its lowest member ``rep[i]``, and ``sizes[i]``
-    counts its members.  Its boundary row and upper triples are those of
-    ``rep[i]``, in member entry order, with every member id replaced by its
-    class; so are its co-boundary row and lower entries, which only
-    :func:`_full_quotient` fills.  Classes never span two dimensions and
-    ascend with their representatives, so each dimension's classes and
-    entries are contiguous.
+    counts its members.  Each relation is held as the engine reads it,
+    ``(entries per class, ids, witness ids or None)``: class ``i``'s
+    boundary, upper and co-boundary entries are those of ``rep[i]``, in
+    member entry order, and its lower entries those of ``rep[i]`` in face
+    order, with every member id replaced by its class.  Only the first
+    full-rule :func:`_quotient` call fills ``coboundary`` and ``lower``.
+    Classes never span two dimensions and ascend with their
+    representatives, so each dimension's classes and entries are
+    contiguous.
     """
 
     kind: str
     rep: np.ndarray
     sizes: np.ndarray
-    boundary: tuple  # (indptr, face classes)
-    upper: tuple  # (class, neighbor class, witness class), classes ascending
-    coboundary: Optional[tuple] = None  # (indptr, coface classes)
-    lower: Optional[tuple] = None  # (class, neighbor class, face class)
+    boundary: tuple  # (faces per class, face classes, None)
+    upper: tuple  # (pairs per class, neighbor classes, witness classes)
+    coboundary: Optional[tuple] = None  # (co-faces per class, co-face classes, None)
+    lower: Optional[tuple] = None  # (pairs per class, neighbor classes, face classes)
 
     @property
     def total(self) -> int:
         return self.rep.size
 
-    def boundary_csr(self):
-        return self.boundary
 
-    def upper_adjacency(self):
-        return self.upper
+def _quotient(c: HigherOrderComplex, rule: str = "reduced") -> _Quotient:
+    """The :class:`_Quotient` of ``c``'s :func:`stable_colors`, read-only and
+    cached on ``c``: its boundary and upper rows on first use, its
+    co-boundary and lower rows on the first ``"full"`` call.
 
-    def coboundary_csr(self):
-        return self.coboundary
-
-    def lower_adjacency(self):
-        return self.lower
-
-
-def _quotient(c: HigherOrderComplex) -> _Quotient:
-    """The :class:`_Quotient` of ``c``'s :func:`stable_colors`, built once,
-    read-only and cached on ``c``; its content is deterministic, so which of
-    two concurrent fills lands does not matter."""
-    if c._quotient is None:
-        colors = stable_colors(c)
+    The lower rows come from the representatives' boundary and co-boundary
+    CSR rows alone: for each face f of a representative s, every co-face
+    t != s of f gives the entry (class of t, class of f), so
+    ``lower_adjacency`` is never built.  The engine reads them only where
+    :func:`_two_faces` holds.  The content is deterministic, so which of
+    two concurrent fills lands does not matter.
+    """
+    q, colors = c._quotient, stable_colors(c)
+    indptr, faces = c.boundary_csr()
+    if q is None:
         _, rep, sizes = np.unique(colors, return_index=True, return_counts=True)
-        indptr, indices = c.boundary_csr()
-        starts, ends = indptr[rep], indptr[rep + 1]
-        boundary = _pack(ends - starts, colors[indices[_ranges(starts, ends)[1]]])
         src, tau, delta = c.upper_adjacency()
-        row, pos = _ranges(np.searchsorted(src, rep, "left"),
-                           np.searchsorted(src, rep, "right"))
-        c._quotient = _Quotient(
-            c.kind, *_read_only(rep, sizes), _read_only(*boundary),
-            _read_only(row, colors[tau[pos]], colors[delta[pos]]))
-    return c._quotient
+        q = c._quotient = _Quotient(
+            c.kind, *_read_only(rep, sizes),
+            _class_rows(colors, indptr[rep], indptr[rep + 1], faces),
+            _class_rows(colors, np.searchsorted(src, rep, "left"),
+                        np.searchsorted(src, rep, "right"), tau, delta))
+    if rule == "full" and q.lower is None:
+        co_indptr, cofaces = c.coboundary_csr()
+        owner, pos = _ranges(indptr[q.rep], indptr[q.rep + 1])
+        face = faces[pos]
+        entry, pos = _ranges(co_indptr[face], co_indptr[face + 1])
+        tau, owner, face = cofaces[pos], owner[entry], face[entry]
+        keep = tau != q.rep[owner]
+        q = c._quotient = q._replace(
+            coboundary=_class_rows(colors, co_indptr[q.rep], co_indptr[q.rep + 1], cofaces),
+            lower=_read_only(np.bincount(owner[keep], minlength=q.total),
+                             colors[tau[keep]], colors[face[keep]]))
+    return q
+
+
+def _class_rows(colors, starts, ends, ids, witness=None) -> tuple:
+    """One read-only quotient relation: class ``i`` holds the entries
+    ``starts[i]:ends[i]`` of ``ids`` and ``witness``, remapped by
+    ``colors``."""
+    pos = _ranges(starts, ends)[1]
+    if witness is None:
+        return (*_read_only(ends - starts, colors[ids[pos]]), None)
+    return _read_only(ends - starts, colors[ids[pos]], colors[witness[pos]])
 
 
 def _two_faces(c: HigherOrderComplex) -> bool:
@@ -613,35 +627,6 @@ def _two_faces(c: HigherOrderComplex) -> bool:
     """
     indptr = c.boundary_csr()[0][c.dim_offsets[1]:]
     return bool((np.diff(indptr) >= 2).all())
-
-
-def _full_quotient(c: HigherOrderComplex) -> _Quotient:
-    """:func:`_quotient` of ``c`` with each representative's co-boundary row
-    and lower entries, remapped to class ids, built on first use and cached
-    in its place.
-
-    Both come from the representatives' boundary and co-boundary CSR rows
-    alone: for each face f of a representative s, every co-face t != s of
-    f gives the entry (class of t, class of f), so ``lower_adjacency`` is
-    never built.  The engine reads them as class rows only where
-    :func:`_two_faces` holds.
-    """
-    q = _quotient(c)
-    if q.lower is None:
-        colors = stable_colors(c)
-        co_indptr, cofaces = c.coboundary_csr()
-        starts, ends = co_indptr[q.rep], co_indptr[q.rep + 1]
-        coboundary = _pack(ends - starts, colors[cofaces[_ranges(starts, ends)[1]]])
-        indptr, faces = c.boundary_csr()
-        owner, pos = _ranges(indptr[q.rep], indptr[q.rep + 1])
-        face = faces[pos]
-        entry, pos = _ranges(co_indptr[face], co_indptr[face + 1])
-        tau, owner, face = cofaces[pos], owner[entry], face[entry]
-        keep = tau != q.rep[owner]
-        q = q._replace(coboundary=_read_only(*coboundary), lower=_read_only(
-            owner[keep], colors[tau[keep]], colors[face[keep]]))
-        c._quotient = q
-    return q
 
 
 def _keep_stable(c: HigherOrderComplex, colors: np.ndarray, k: int) -> None:

@@ -3,7 +3,9 @@
 import json
 import subprocess
 import sys
+import time
 
+import numpy as np
 import pytest
 
 from pathcomplex.cli import main
@@ -90,6 +92,15 @@ class TestLift:
                            "--member-cap", "3")
         assert code == 3
         assert "cap" in err
+
+    def test_edge_list_above_the_member_cap_exits_3(self, capsys, tmp_path):
+        huge = tmp_path / "huge.edges"
+        huge.write_text("n 1000000000\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lift", huge)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "1000000000 vertices exceed the member cap" in err
 
     def test_directory_input_is_an_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "lift", tmp_path)
@@ -345,6 +356,27 @@ class TestConfig:
                            "--method", "pcn", "--config", cfg)
         assert code == 1
         assert "seeds" in err
+
+    def test_mutated_config_files_exit_cleanly(self, capsys, files, tmp_path,
+                                               mutate_bytes):
+        # seeded byte edits of a valid config file: every one ends in an
+        # exit code, never an exception
+        text = (b"# settings\nboundary-mode = incidence\nmember-cap = 100000\n"
+                b"hidden-dim = 16\nembed-dim = 32\nepsilon = 0.01\nseeds = 0..3\n"
+                b"threads = 1\noutput-format = json\n")
+        rng = np.random.default_rng(37)
+        cfg = tmp_path / "cfg"
+        codes = set()
+        for _ in range(1500):
+            data = text
+            for _ in range(int(rng.integers(1, 4))):
+                data = mutate_bytes(data, rng)
+            cfg.write_bytes(data)
+            code = main(["test", str(files["c6"]), str(files["kk"]), "--config", str(cfg)])
+            capsys.readouterr()
+            assert code in (0, 1, 2, 3), data
+            codes.add(code)
+        assert codes == {0, 1, 3}
 
     def test_missing_input_file(self, capsys):
         code, _, err = run(capsys, "lift", "/does/not/exist.g6")

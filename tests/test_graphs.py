@@ -6,7 +6,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from pathcomplex import complexes, graphs
 from pathcomplex.graphs import (
+    DEFAULT_MEMBER_CAP,
+    CapacityError,
     GraphParseError,
     SimpleGraph,
     VertexPermutation,
@@ -141,6 +144,45 @@ class TestEdgeList:
     def test_comments_and_duplicates_collapse(self):
         g = parse_edge_list("# corpus\nn 3\n0 1\n1 0\n# dup\n1 2")
         assert g.edge_count == 2
+
+    def test_vertex_count_above_the_member_cap(self, monkeypatch):
+        # refused before anything vertex-sized is allocated: no lift under
+        # the default cap could take the graph, since each lists every vertex
+        assert complexes.CapacityError is CapacityError
+        assert complexes.DEFAULT_MEMBER_CAP is DEFAULT_MEMBER_CAP
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="line 2: 1000000000 vertices "
+                                                "exceed the member cap 50000000"):
+            parse_edge_list("# huge\nn 1000000000\n")
+        assert time.perf_counter() - start < 1.0
+        monkeypatch.setattr(graphs, "DEFAULT_MEMBER_CAP", 3)
+        assert parse_edge_list("n 3\n0 1").n == 3
+        with pytest.raises(CapacityError, match="4 vertices"):
+            parse_edge_list("n 4\n0 1")
+
+    def test_mutated_edge_lists_load_or_raise(self, tmp_path, mutate_bytes):
+        # seeded byte edits of valid edge lists, read as the command line
+        # reads them
+        rng = np.random.default_rng(31)
+        texts = []
+        for _ in range(20):
+            g = random_graph(int(rng.integers(0, 20)), 0.4, rng)
+            lines = ["# edges", f"n {g.n}"] + [f"{u} {v}" for u, v in g.sorted_edges()]
+            texts.append("\n".join(lines).encode("ascii"))
+        path = tmp_path / "g.edges"
+        for trial in range(5000):
+            data = texts[trial % len(texts)]
+            for _ in range(int(rng.integers(1, 4))):
+                data = mutate_bytes(data, rng)
+            path.write_bytes(data)
+            start = time.perf_counter()
+            try:
+                assert isinstance(
+                    parse_edge_list(graphs.read_text(path, "UTF-8", GraphParseError)),
+                    SimpleGraph)
+            except (GraphParseError, CapacityError):
+                pass
+            assert time.perf_counter() - start < 1.0, data
 
 
 class TestPermutations:

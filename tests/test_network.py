@@ -621,6 +621,24 @@ class TestClassLevelForward:
         params = NetworkParams.create(seed=2, layers=2, max_dim=3)
         with pytest.raises(ValueError, match="not constant"):
             forward(c, FeatureState(values), params)
+        # the last member of a dimension, of the complex, and below empty
+        # dimensions (the top one of P3 at dimension 3; both of an edgeless
+        # graph at dimension 2)
+        cases = [(cycle_graph(6), 3, 2), (cycle_graph(6), 3, 3), (path_graph(3), 3, 1),
+                 (SimpleGraph.from_edges(4, []), 2, 0)]
+        for graph, dim, p in cases:
+            c = lift_path_complex(graph, dim)
+            colors = stable_colors(c)
+            lo, member = c.dim_offsets[p], c.dim_offsets[p + 1] - 1
+            assert colors[member] in colors[lo:member]  # not its class's representative
+            params = NetworkParams.create(seed=2, layers=2, max_dim=dim)
+            feats = init_features(c)
+            assert np.array_equal(forward(c, feats, params), network.embed(c, params))
+            values = [v.copy() for v in feats.values]
+            values[p][member - lo, 0] += 1.0
+            with pytest.raises(ValueError, match=f"dimension {p} are not constant"):
+                forward(c, FeatureState(values), params)
+        assert c.counts() == [4, 0, 0]
 
 
 class TestDistance:

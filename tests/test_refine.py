@@ -1184,6 +1184,71 @@ class TestQuotientOracle:
         assert not refine._two_faces(self.one_faced_edge())
 
 
+class TestQuotientForm:
+    """Each ``_Quotient`` relation is held as the engine reads it: read-only
+    (entries per class, ids, witness ids or None), class ``i``'s rows its
+    representative's member rows remapped by ``stable_colors``."""
+
+    NAMES = {"reduced": ("boundary", "upper"),
+             "full": ("boundary", "upper", "coboundary", "lower")}
+
+    @staticmethod
+    def member_rows(c):
+        """Every member's rows of the four relations from ``boundary_of``
+        alone: upper rows ordered by member ids, as the triples hold them,
+        lower rows by face, then co-face."""
+        boundary = [c.boundary_of(g).tolist() for g in range(c.total)]
+        coboundary = [[] for _ in boundary]
+        for d, row in enumerate(boundary):
+            for b in row:
+                coboundary[b].append(d)
+        upper = [sorted((t, d) for d in coboundary[s] for t in boundary[d] if t != s)
+                 for s in range(c.total)]
+        lower = [[(t, b) for b in boundary[s] for t in coboundary[b] if t != s]
+                 for s in range(c.total)]
+        return {"boundary": boundary, "upper": upper, "coboundary": coboundary,
+                "lower": lower}
+
+    def check(self, c):
+        rows, colors = self.member_rows(c), stable_colors(c).tolist()
+        q = refine._quotient(c)
+        assert q.coboundary is None and q.lower is None
+        reduced = q
+        for rule, names in self.NAMES.items():
+            q = refine._quotient(c, rule)
+            assert q is c._quotient and q.upper is reduced.upper
+            assert q.sizes.sum() == c.total
+            for name in names:
+                lens, ids, witness = getattr(q, name)
+                assert (witness is None) == name.endswith("boundary")
+                for a in (lens, ids) if witness is None else (lens, ids, witness):
+                    assert not a.flags.writeable
+                assert lens.size == q.total and lens.sum() == ids.size
+                member = [rows[name][r] for r in q.rep.tolist()]
+                assert lens.tolist() == [len(r) for r in member]
+                if witness is None:
+                    assert ids.tolist() == [colors[v] for r in member for v in r]
+                else:
+                    assert list(zip(ids.tolist(), witness.tolist())) == \
+                        [(colors[t], colors[d]) for r in member for t, d in r]
+        assert c._lower_flat is None
+
+    def test_srg_lifts(self, srg_specs):
+        from pathcomplex.bench import load_family
+
+        for name in ("SR(16,6,2,2)", "SR(25,12,5,6)"):
+            for g in load_family(srg_specs[name])[:2]:
+                self.check(lift_path_complex(g, 2))
+        self.check(lift_path_complex(load_family(srg_specs["SR(16,6,2,2)"])[0], 3))
+
+    def test_random_lifts(self):
+        empty, edgeless = SimpleGraph.from_edges(0, []), SimpleGraph.from_edges(5, [])
+        for g, h in list(random_pairs(139, 6)) + [(empty, edgeless)]:
+            for lift in RANDOM_LIFTS:
+                self.check(lift(g))
+                self.check(lift(h))
+
+
 class TestDigestOnlyForFingerprints:
     """Only ``stable_fingerprint`` reads a digest, so no other run hashes."""
 
