@@ -6,9 +6,12 @@ graph and judges a pair: refinement methods (``pwl``, ``swl``, ``cwl``, and
 ``wl1``, the engine on the 1-dimensional path complex) call a pair
 indistinguishable when the stable fingerprints are equal, one engine run per
 graph; network methods (``pcn``, ``cwn``) when the embedding distance falls
-below epsilon, once per seed.  Complexes are lifted and indexed once per
-graph and shared across pairs, seeds, and sweep cells; ``lift_ms`` reports
-what producing them cost, also when they came from the cache.
+below epsilon, once per seed.  Complexes are lifted once per graph and
+shared across pairs, seeds, and sweep cells; ``lift_ms`` reports what
+producing them (the lift and its boundary CSR) cost, also when they came
+from the cache.  They keep no member-level upper triples: each engine run
+over members builds its own, and the class quotients that the network and
+warm pairs read are generated from the boundary CSR.
 """
 
 from __future__ import annotations
@@ -231,16 +234,15 @@ def load_family(spec: FamilySpec) -> list:
 
 
 def _lift_all(graphs, cfg: RunConfig):
-    """Lift and index every graph; returns ``(complexes, milliseconds)``.
+    """Lift every graph; returns ``(complexes, milliseconds)``.
 
-    The upper triples are built here because every method reads them, so
-    their cost is charged to the lift, not to the first pair or seed that
-    touches them.
+    The time covers the lift and its boundary CSR, the only index a lift
+    keeps.  No member-level upper triples are cached: the first engine run
+    on a complex builds them for that run alone, and its time lands in that
+    cell's ``forward_ms``.
     """
     t0 = time.monotonic()
     complexes = [cfg.lift(g) for g in graphs]
-    for c in complexes:
-        c.upper_adjacency()
     return complexes, (time.monotonic() - t0) * 1000.0
 
 

@@ -31,7 +31,9 @@ the PCX reader: it builds each row's canonical faces as arrays and finds
 their ids among the row keys of the dimension below.  The coboundary CSR
 (a stable argsort of the boundary CSR) and the upper and lower adjacency
 triples (ordered pairs within each row of the two CSRs, sorted by row key)
-are derived from it on first use and cached.
+are derived from it on first use and cached by the helpers that return
+them.  The package's own pipeline never calls ``upper_adjacency``: a lift
+keeps no member-level upper triples unless a caller asks for them.
 """
 
 from __future__ import annotations
@@ -123,6 +125,11 @@ class HigherOrderComplex:
     of ring cells are padded with -1 to the widest ring.  The boundary CSR
     and the indexes built from it on first use (co-boundary CSR, upper and
     lower triples) are read-only arrays, read in place by their users.
+    Only ``upper_adjacency`` caches the upper triples, for tests, oracles
+    and benchmarks; refinement and the network never call it.  The
+    refinement engine reads cached triples in place and otherwise builds
+    its own for one run, and the class quotient generates its upper rows
+    from the boundary CSR.
     """
 
     def __init__(self, kind, n, max_dim, carriers, indptr, indices):
@@ -457,6 +464,17 @@ def _check_cap(carriers, cap):
         )
 
 
+def _check_dims(max_dim, cap):
+    """Raise :class:`CapacityError` when ``max_dim + 1`` dimensions exceed
+    ``cap``: a complex keeps one carrier array per dimension, empty ones
+    included, so the dimensions count against the cap before any is built."""
+    if max_dim + 1 > cap:
+        raise CapacityError(
+            f"{max_dim + 1} dimensions exceed the member cap of {cap}; "
+            "lower the lifting dimension or raise the cap"
+        )
+
+
 def _adjacency(g: SimpleGraph):
     """(indptr, neighbours): the ascending neighbour lists as one CSR."""
     indptr = np.zeros(g.n + 1, dtype=np.int64)
@@ -489,9 +507,11 @@ def lift_path_complex(
 
     ``boundary_mode="incidence"`` keeps every one-vertex deletion that is
     still a walk (interior deletions need the skip edge); ``"truncation"``
-    keeps only the two end deletions.
+    keeps only the two end deletions.  A ``max_dim + 1`` above
+    ``member_cap`` raises :class:`CapacityError` before anything is built.
     """
     check_lift_args("path", max_dim, boundary_mode)
+    _check_dims(max_dim, member_cap)
     indptr, nbr = _adjacency(g)
     walks = np.arange(g.n, dtype=np.int64)[:, None]  # both orientations
     carriers = [walks]
@@ -518,8 +538,13 @@ def lift_clique_complex(
     max_dim: int,
     member_cap: int = DEFAULT_MEMBER_CAP,
 ) -> HigherOrderComplex:
-    """Cliques of size <= max_dim+1 as members; boundaries are the facets."""
+    """Cliques of size <= max_dim+1 as members; boundaries are the facets.
+
+    A ``max_dim + 1`` above ``member_cap`` raises :class:`CapacityError`
+    before anything is built.
+    """
     check_lift_args("simplex", max_dim)
+    _check_dims(max_dim, member_cap)
     indptr, nbr = _adjacency(g)
     edges = _edge_rows(g)
     cliques = np.arange(g.n, dtype=np.int64)[:, None]

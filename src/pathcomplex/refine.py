@@ -29,13 +29,16 @@ of the rows that a sort of every row gives.
 The engine reads every relation in place from each complex's cached,
 read-only index (boundary and co-boundary CSR, upper and lower triples),
 indexing that complex's slice of the joint coloring, so it owns only the
-signature rows and one slot per entry.  A round sorts a relation's entries
-within their rows by the key ``row * width + value``, int32 while a
-complex's keys fit it, and takes each value back by subtracting its row's
-``row * width``.  Every round rebuilds every row and ranks it, except
-that a round from one color writes no entries: every value is 0, which the
-rows hold already.  Past the key bound of :func:`_codes_fit` that round
-writes them too, since it records the pair table of every entry.
+signature rows and one slot per entry.  Lifts keep no upper triples, so
+unless a caller cached them through ``upper_adjacency``, a run over members
+builds a complex's triples for itself and drops them when it ends.  A
+round sorts a relation's entries within their rows by the key ``row *
+width + value``, int32 while a complex's keys fit it, and takes each value
+back by subtracting its row's ``row * width``.  Every round rebuilds every
+row and ranks it, except that a round from one color writes no entries:
+every value is 0, which the rows hold already.  Past the key bound of
+:func:`_codes_fit` that round writes them too, since it records the pair
+table of every entry.
 
 Each complex caches its stable reduced-rule coloring
 (:func:`stable_colors`), which the network's class-level forward reads; any
@@ -52,7 +55,8 @@ dimension >= 1 of both complexes has at least two faces: then the reduced
 stable coloring is equitable for the co-boundary and lower relations too
 (:func:`_two_faces`).  A quotient holds each relation in the form the
 engine reads, entries per class, ids and witness ids, each class's entries
-its lowest member's remapped to class ids.  It is built once per complex,
+its lowest member's remapped to class ids.  It is built once per complex
+from the boundary CSR (and the co-boundary CSR), never from the triples,
 its co-boundary and lower rows on the first full-rule pair, and cached
 beside the coloring; the network's class plan cuts its rows by dimension.
 Cold pairs, traces and fingerprints refine members.
@@ -71,7 +75,14 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .complexes import HigherOrderComplex, _ranges, _read_only, lift_complex
+from .complexes import (
+    HigherOrderComplex,
+    _pair_triples,
+    _ranges,
+    _read_only,
+    _row_keys,
+    lift_complex,
+)
 from .graphs import SimpleGraph
 
 __all__ = [
@@ -119,8 +130,8 @@ class _Entries(NamedTuple):
     complex's member ``ids[e]``, and with it the witness ``witness[e]`` for
     a pair relation; its sorted value goes to ``flat[positions[e]]``, and the
     run's sorted values fill the member's slots in order.  ``ids`` and
-    ``witness`` are the complex's own cached arrays, which the engine never
-    writes.
+    ``witness`` are the complex's own cached arrays, or upper triples built
+    for this run alone, which the engine never writes.
     """
 
     lo: int
@@ -315,13 +326,17 @@ class _JointRefinement:
 def _read(c, name: str):
     """Relation ``name`` of ``c`` in place, as (entries per member, ids,
     witness ids or None): a quotient's rows as they are, a complex's read
-    from its cached CSR or triples, whose sources ascend."""
+    from its CSR or triples, whose sources ascend.  Upper triples that no
+    caller cached through ``upper_adjacency`` are built for this run only."""
     if isinstance(c, _Quotient):
         return getattr(c, name)
     if name in ("boundary", "coboundary"):
         indptr, ids = getattr(c, name + "_csr")()
         return np.diff(indptr), ids, None
-    src, ids, witness = getattr(c, name + "_adjacency")()
+    if name == "upper" and c._upper_flat is None:
+        src, ids, witness = _pair_triples(*c.boundary_csr())
+    else:
+        src, ids, witness = getattr(c, name + "_adjacency")()
     return np.bincount(src, minlength=c.total), ids, witness
 
 
@@ -570,23 +585,22 @@ def _quotient(c: HigherOrderComplex, rule: str = "reduced") -> _Quotient:
     cached on ``c``: its boundary and upper rows on first use, its
     co-boundary and lower rows on the first ``"full"`` call.
 
-    The lower rows come from the representatives' boundary and co-boundary
-    CSR rows alone: for each face f of a representative s, every co-face
-    t != s of f gives the entry (class of t, class of f), so
-    ``lower_adjacency`` is never built.  The engine reads them only where
-    :func:`_two_faces` holds.  The content is deterministic, so which of
-    two concurrent fills lands does not matter.
+    Every row comes from the boundary CSR, and the lower rows also from the
+    co-boundary CSR; no row is read from upper or lower triples.  The upper
+    rows are generated by :func:`_upper_rows`.  For the lower
+    rows, each face f of a representative s and every co-face t != s of f
+    give the entry (class of t, class of f).  The engine reads them only
+    where :func:`_two_faces` holds.  The content is deterministic, so which
+    of two concurrent fills lands does not matter.
     """
     q, colors = c._quotient, stable_colors(c)
     indptr, faces = c.boundary_csr()
     if q is None:
         _, rep, sizes = np.unique(colors, return_index=True, return_counts=True)
-        src, tau, delta = c.upper_adjacency()
         q = c._quotient = _Quotient(
             c.kind, *_read_only(rep, sizes),
             _class_rows(colors, indptr[rep], indptr[rep + 1], faces),
-            _class_rows(colors, np.searchsorted(src, rep, "left"),
-                        np.searchsorted(src, rep, "right"), tau, delta))
+            _upper_rows(colors, rep, indptr, faces))
     if rule == "full" and q.lower is None:
         co_indptr, cofaces = c.coboundary_csr()
         owner, pos = _ranges(indptr[q.rep], indptr[q.rep + 1])
@@ -609,6 +623,30 @@ def _class_rows(colors, starts, ends, ids, witness=None) -> tuple:
     if witness is None:
         return (*_read_only(ends - starts, colors[ids[pos]]), None)
     return _read_only(ends - starts, colors[ids[pos]], colors[witness[pos]])
+
+
+def _upper_rows(colors, rep, indptr, faces) -> tuple:
+    """The read-only quotient upper relation from the boundary CSR
+    ``(indptr, faces)``: class ``i`` holds the pairs (t, d) of its
+    representative ``rep[i]``, one for every co-face d of it and every other
+    face t of d, in (t, d) order and remapped by ``colors``, as the upper
+    triples sorted by (src, tau, delta) hold them.
+
+    One pass over the CSR entries finds the representatives' co-faces, so
+    neither the co-boundary CSR nor the member-level triples are built.
+    """
+    is_rep = np.zeros(colors.size, dtype=bool)
+    is_rep[rep] = True
+    hit = np.flatnonzero(is_rep[faces])  # CSR entries naming a representative
+    # the row of each entry: the last row starting at or before it
+    cofaces = np.searchsorted(indptr, hit, "right") - 1
+    # the co-face's other entries: its row less one, stepping over the hit
+    row, pos = _ranges(indptr[cofaces], indptr[cofaces + 1] - 1)
+    pos += pos >= hit[row]
+    cls, tau, delta = colors[faces[hit]][row], faces[pos], cofaces[row]
+    order = np.argsort(_row_keys((cls, tau, delta)))
+    return _read_only(np.bincount(cls, minlength=rep.size),
+                      colors[tau[order]], colors[delta[order]])
 
 
 def _two_faces(c: HigherOrderComplex) -> bool:

@@ -246,6 +246,20 @@ class TestRunFamily:
         with pytest.raises(ValueError, match="parameter check"):
             run_family(wrong, cfg, cache=cache)
 
+    @pytest.mark.parametrize("method", ["pcn", "pwl"])
+    def test_cached_lifts_keep_no_upper_triples(self, srg_specs, method):
+        # the network and the fingerprints read the boundary CSR, the class
+        # quotient and the engine's own run-local triples
+        cache = _LiftCache()
+        report = run_family(srg_specs["SR(28,12,6,4)"],
+                            RunConfig(method=method, seeds=(0,)), cache=cache)
+        assert report.outcomes and not report.skipped
+        (complexes, _), = cache.store.values()
+        assert len(complexes) == 4
+        for c in complexes:
+            assert c._stable_colors is not None
+            assert c._upper_flat is None
+
     def test_threaded_run_matches_serial(self, sr16):
         serial = run_family(sr16, RunConfig(method="pcn", layers=4, seeds=(0, 1)))
         threaded = run_family(

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
+import contextlib
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -31,6 +33,19 @@ def files(tmp_path):
     paths["tree"] = tmp_path / "tree.edges"
     paths["tree"].write_text("n 4\n0 1\n0 2\n0 3\n")
     return paths
+
+
+@contextlib.contextmanager
+def address_space_headroom(nbytes):
+    """Cap this process's address space at its present size plus ``nbytes``."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm", encoding="ascii") as handle:
+        size = int(handle.read().split()[0]) * resource.getpagesize()
+    resource.setrlimit(resource.RLIMIT_AS, (size + nbytes, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def run(capsys, *argv):
@@ -101,6 +116,18 @@ class TestLift:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
         assert "1000000000 vertices exceed the member cap" in err
+
+    @pytest.mark.parametrize("kind", ["path", "simplex"])
+    def test_huge_max_dim_exits_3_before_building(self, capsys, files, kind):
+        start = time.perf_counter()
+        # a lift that built its empty dimensions would fail on the cap with
+        # MemoryError here instead of exhausting the machine's memory
+        with address_space_headroom(2**31):
+            code, out, err = run(capsys, "lift", files["p4"], "--kind", kind,
+                                 "--max-dim", "1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "1000000001 dimensions exceed the member cap" in err
 
     def test_directory_input_is_an_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "lift", tmp_path)

@@ -179,6 +179,19 @@ class TestPathLift:
         with pytest.raises(CapacityError):
             lift_path_complex(complete_graph(8), 5, member_cap=100)
 
+    @pytest.mark.parametrize("lift", [lift_path_complex, lift_clique_complex])
+    def test_dimension_count_is_capped(self, lift):
+        # a complex keeps one carrier array per dimension, empty ones too
+        empty = SimpleGraph.from_edges(0, [])
+        assert lift(empty, 5, member_cap=6).counts() == [0] * 6
+        with pytest.raises(CapacityError, match="6 dimensions exceed the member cap of 5"):
+            lift(empty, 5, member_cap=5)
+
+    def test_high_dimension_below_the_cap_is_unchanged(self):
+        c = lift_path_complex(cycle_graph(6), 10)
+        assert c.max_dim == 10 and c.counts() == [6] * 6 + [0] * 5
+        assert c == lift_path_complex(cycle_graph(6), 10, member_cap=c.total)
+
     def test_degenerate_dimension_zero(self):
         c = lift_path_complex(complete_graph(3), 0)
         assert c.counts() == [3]

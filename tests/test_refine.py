@@ -1249,6 +1249,100 @@ class TestQuotientForm:
                 self.check(lift(h))
 
 
+def upper_rows_from_triples(c):
+    """The quotient upper rows as they were built before lifts stopped
+    caching triples: each representative's run of ``upper_adjacency``,
+    found by ``searchsorted`` on its sources and remapped by class."""
+    colors, rep = stable_colors(c), refine._quotient(c).rep
+    src, tau, delta = c.upper_adjacency()
+    return refine._class_rows(colors, np.searchsorted(src, rep, "left"),
+                              np.searchsorted(src, rep, "right"), tau, delta)
+
+
+class TestUpperRowsOracle:
+    """The quotient's upper rows, generated from the boundary CSR, equal
+    the rows read from the member-level upper triples byte for byte."""
+
+    @staticmethod
+    def check(c):
+        got = refine._quotient(c).upper
+        assert c._upper_flat is None  # generated without the triples
+        want = upper_rows_from_triples(c)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+
+    def test_srg_lifts(self, srg_specs):
+        from pathcomplex.bench import load_family
+
+        for name in ("SR(16,6,2,2)", "SR(25,12,5,6)", "SR(26,10,3,4)",
+                     "SR(28,12,6,4)"):
+            for g in load_family(srg_specs[name]):
+                self.check(lift_path_complex(g, 3))
+        # the least symmetric complex of the corpus: 31,253 classes
+        self.check(lift_path_complex(load_family(srg_specs["SR(35,18,9,9)"])[2], 3))
+
+    def test_random_lifts(self):
+        for g, h in random_pairs(149, 24):
+            for lift in RANDOM_LIFTS:
+                self.check(lift(g))
+                self.check(lift(h))
+
+    def test_empty_and_edgeless_lifts(self):
+        for g in (SimpleGraph.from_edges(0, []), SimpleGraph.from_edges(5, [])):
+            for lift in RANDOM_LIFTS + (lambda x: lift_path_complex(x, 0),):
+                self.check(lift(g))
+
+    def test_one_faced_edge(self):
+        self.check(TestQuotientOracle.one_faced_edge())
+
+
+class TestNoCachedUpperTriples:
+    """Runs over members build upper triples only for themselves, unless a
+    caller cached them through ``upper_adjacency``."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from pathcomplex import complexes
+
+        calls = []
+        pair_triples = complexes._pair_triples
+
+        def counted(*args):
+            calls.append(1)
+            return pair_triples(*args)
+
+        monkeypatch.setattr(complexes, "_pair_triples", counted)
+        monkeypatch.setattr(refine, "_pair_triples", counted)
+        return calls
+
+    def test_stable_colors_keeps_no_triples(self, builds):
+        for lift in RANDOM_LIFTS:
+            c = lift(C6)
+            stable_colors(c)
+            assert c._upper_flat is None and builds == [1]
+            refine._quotient(c, "full")
+            assert c._upper_flat is None and builds == [1]
+            builds.clear()
+
+    def test_cached_triples_are_not_rebuilt(self, builds):
+        for lift in RANDOM_LIFTS:
+            refine_pair(lift(C6), lift(TWO_K3))  # uncached: one build a side
+            assert builds == [1, 1]
+            x, y = lift(C6), lift(TWO_K3)
+            cached = [c.upper_adjacency() for c in (x, y)]
+            for c in (x, y):  # the full rule's member runs read these too
+                c.lower_adjacency()
+            builds.clear()
+            for rule in ("reduced", "full"):
+                refine_pair(x, y, rule)
+                refinement_trace(x, y, 2, rule)
+                stable_fingerprint(x, rule)
+                assert builds == []
+            assert all(c._upper_flat is t for c, t in zip((x, y), cached))
+
+
 class TestDigestOnlyForFingerprints:
     """Only ``stable_fingerprint`` reads a digest, so no other run hashes."""
 
