@@ -29,11 +29,13 @@ cycle.  Every bulk sort or lookup of rows goes through one lexicographic
 row key, ``_row_keys``.  One array assembler serves all three kinds, and
 the PCX reader: it builds each row's canonical faces as arrays and finds
 their ids among the row keys of the dimension below.  The coboundary CSR
-(a stable argsort of the boundary CSR) and the upper and lower adjacency
-triples (ordered pairs within each row of the two CSRs, sorted by row key)
-are derived from it on first use and cached by the helpers that return
-them.  The package's own pipeline never calls ``upper_adjacency``: a lift
-keeps no member-level upper triples unless a caller asks for them.
+(a stable argsort of the boundary CSR) is derived from it on first use and
+cached.  One generator, ``_pair_triples``, enumerates the ordered pairs
+within the rows of a CSR, sorted by row key, for every source or for given
+ones: the upper and lower adjacency triples are those of the two CSRs.
+The package's own pipeline calls neither ``upper_adjacency`` nor
+``lower_adjacency``, which cache them: a lift keeps no member-level pair
+triples unless a caller asks for them.
 """
 
 from __future__ import annotations
@@ -125,11 +127,11 @@ class HigherOrderComplex:
     of ring cells are padded with -1 to the widest ring.  The boundary CSR
     and the indexes built from it on first use (co-boundary CSR, upper and
     lower triples) are read-only arrays, read in place by their users.
-    Only ``upper_adjacency`` caches the upper triples, for tests, oracles
-    and benchmarks; refinement and the network never call it.  The
-    refinement engine reads cached triples in place and otherwise builds
-    its own for one run, and the class quotient generates its upper rows
-    from the boundary CSR.
+    Only ``upper_adjacency`` and ``lower_adjacency`` cache pair triples, for
+    tests, oracles and benchmarks; refinement and the network call neither.
+    The refinement engine and the class quotient read cached triples in
+    place and otherwise generate their own from the CSRs for one call, the
+    quotient for its representatives alone.
     """
 
     def __init__(self, kind, n, max_dim, carriers, indptr, indices):
@@ -262,28 +264,35 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-def _pair_triples(indptr, indices):
-    """All ordered pairs drawn from each CSR row, tagged by the row id.
+def _pair_triples(indptr, indices, sources=None):
+    """All ordered pairs drawn from each CSR row, tagged by the row id, as
+    ``(src, tau, delta)`` sorted by (src, tau, delta).
 
     For a row ``delta`` holding ``[a, b, c]`` emits (a,b,delta), (a,c,delta),
-    (b,a,delta), ... Rows are grouped by length so numpy can emit pairs in
-    bulk.
+    (b,a,delta), ...; with ``sources``, ascending ids, only the pairs whose
+    ``src`` is one of them.  Each entry naming a source is paired with
+    every other entry of its row, so no row is read for a source it lacks.
     """
-    lens = np.diff(indptr)
-    empty = np.zeros(0, dtype=np.int64)
-    srcs, taus, deltas = [empty], [empty], [empty]
-    for size in np.unique(lens[lens >= 2]).tolist():
-        ids = np.flatnonzero(lens == size)
-        arr = indices[indptr[ids][:, None] + np.arange(size)]
-        for i, j in itertools.permutations(range(size), 2):
-            srcs.append(arr[:, i])
-            taus.append(arr[:, j])
-            deltas.append(ids)
-    src = np.concatenate(srcs)
-    tau = np.concatenate(taus)
-    delta = np.concatenate(deltas)
+    if sources is None:
+        hit = np.arange(indices.size)  # every entry names a source
+        row = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    else:
+        is_source = np.zeros(1 + max(indices.max(initial=-1), sources.max(initial=-1)),
+                             dtype=bool)
+        is_source[sources] = True
+        hit = np.flatnonzero(is_source[indices])
+        # the row of each entry: the last row starting at or before it
+        row = np.searchsorted(indptr, hit, "right") - 1
+    # the row's other entries: its range less one, stepping over the hit
+    pair, pos = _ranges(indptr[row], indptr[row + 1] - 1)
+    own = hit[pair]
+    pos += pos >= own
+    src, tau, delta = indices[own], indices[pos], row[pair]
+    del pair, pos, own  # freed before the sort, which sets the peak
     order = np.argsort(_row_keys((src, tau, delta)))
-    return src[order], tau[order], delta[order]
+    src = src[order]
+    tau = tau[order]
+    return src, tau, delta[order]
 
 
 def _offsets(carriers) -> tuple:

@@ -29,10 +29,12 @@ of the rows that a sort of every row gives.
 The engine reads every relation in place from each complex's cached,
 read-only index (boundary and co-boundary CSR, upper and lower triples),
 indexing that complex's slice of the joint coloring, so it owns only the
-signature rows and one slot per entry.  Lifts keep no upper triples, so
-unless a caller cached them through ``upper_adjacency``, a run over members
-builds a complex's triples for itself and drops them when it ends.  A
-round sorts a relation's entries within their rows by the key ``row *
+signature rows and one slot per entry.  One reader, :func:`_relation`,
+gives every relation, to the engine and to the class quotient.  Lifts keep
+no pair triples, so unless a caller cached them through
+``upper_adjacency`` or ``lower_adjacency``, a run over members generates a
+complex's upper and lower triples for itself and drops them when it ends.
+A round sorts a relation's entries within their rows by the key ``row *
 width + value``, int32 while a complex's keys fit it, and takes each value
 back by subtracting its row's ``row * width``.  Every round rebuilds every
 row and ranks it, except that a round from one color writes no entries:
@@ -56,9 +58,10 @@ stable coloring is equitable for the co-boundary and lower relations too
 (:func:`_two_faces`).  A quotient holds each relation in the form the
 engine reads, entries per class, ids and witness ids, each class's entries
 its lowest member's remapped to class ids.  It is built once per complex
-from the boundary CSR (and the co-boundary CSR), never from the triples,
-its co-boundary and lower rows on the first full-rule pair, and cached
-beside the coloring; the network's class plan cuts its rows by dimension.
+by the same reader, which generates the pair rows from the CSRs for the
+representatives alone unless triples are cached, its co-boundary and
+lower rows on the first full-rule pair, and cached beside the coloring;
+the network's class plan cuts its rows by dimension.
 Cold pairs, traces and fingerprints refine members.
 
 Only :func:`stable_fingerprint` reads a digest, so only its engine run
@@ -80,7 +83,6 @@ from .complexes import (
     _pair_triples,
     _ranges,
     _read_only,
-    _row_keys,
     lift_complex,
 )
 from .graphs import SimpleGraph
@@ -130,8 +132,9 @@ class _Entries(NamedTuple):
     complex's member ``ids[e]``, and with it the witness ``witness[e]`` for
     a pair relation; its sorted value goes to ``flat[positions[e]]``, and the
     run's sorted values fill the member's slots in order.  ``ids`` and
-    ``witness`` are the complex's own cached arrays, or upper triples built
-    for this run alone, which the engine never writes.
+    ``witness`` are the complex's own cached arrays, or pair triples
+    generated for this run alone (:func:`_relation`), which the engine never
+    writes.
     """
 
     lo: int
@@ -189,7 +192,7 @@ class _JointRefinement:
         if rule == "full":
             names += ["coboundary", "lower"]
         self.digest = hashlib.blake2b(digest_size=16) if digest else None
-        self._build_layout([[_read(c, name) for c in complexes] for name in names])
+        self._build_layout([[_relation(c, name) for c in complexes] for name in names])
         self.colors = np.zeros(self.total, dtype=np.int64)
         self.k = 1 if self.total else 0  # number of distinct colors
         self.rounds = 0
@@ -197,7 +200,7 @@ class _JointRefinement:
 
     def _build_layout(self, relations):
         """Static row slots; ``relations`` hold one (lens, ids, witness ids
-        or None) per complex, from :func:`_read`."""
+        or None) per complex, from :func:`_relation`."""
         counts = [np.concatenate([lens for lens, _, _ in parts]) for parts in relations]
         length = 1 + len(relations) + sum(counts)
         order = np.argsort(length, kind="stable")
@@ -323,21 +326,29 @@ class _JointRefinement:
         return ColorHistogram(dict(zip(values.tolist(), counts[values].tolist())))
 
 
-def _read(c, name: str):
-    """Relation ``name`` of ``c`` in place, as (entries per member, ids,
-    witness ids or None): a quotient's rows as they are, a complex's read
-    from its CSR or triples, whose sources ascend.  Upper triples that no
-    caller cached through ``upper_adjacency`` are built for this run only."""
+def _relation(c, name: str, colors=None, rep=None):
+    """Relation ``name`` of ``c`` as (entries per row, ids, witness ids or
+    None): one row per member, read in place, or with ``rep`` one row per
+    class ``i``, the entries of its representative ``rep[i]`` remapped by
+    ``colors``; a quotient's rows as they are.  A member's entries come
+    from its CSR row or its run of the pair triples, whose sources ascend.
+    Pair triples that no caller cached through ``upper_adjacency`` or
+    ``lower_adjacency`` are generated for this call only, for ``rep``
+    alone if given."""
     if isinstance(c, _Quotient):
         return getattr(c, name)
+    csr = c.boundary_csr() if name in ("boundary", "upper") else c.coboundary_csr()
     if name in ("boundary", "coboundary"):
-        indptr, ids = getattr(c, name + "_csr")()
-        return np.diff(indptr), ids, None
-    if name == "upper" and c._upper_flat is None:
-        src, ids, witness = _pair_triples(*c.boundary_csr())
-    else:
-        src, ids, witness = getattr(c, name + "_adjacency")()
-    return np.bincount(src, minlength=c.total), ids, witness
+        indptr, ids = csr
+        if rep is None:
+            return np.diff(indptr), ids, None
+        return _class_rows(colors, indptr[rep], indptr[rep + 1], ids)
+    triples = c._upper_flat if name == "upper" else c._lower_flat
+    src, ids, witness = _pair_triples(*csr, rep) if triples is None else triples
+    if rep is None:
+        return np.bincount(src, minlength=c.total), ids, witness
+    return _class_rows(colors, np.searchsorted(src, rep, "left"),
+                       np.searchsorted(src, rep, "right"), ids, witness)
 
 
 # Bound on the sort keys ``src * width + value`` of a round.  An index array
@@ -558,10 +569,10 @@ class _Quotient(NamedTuple):
     Class ``i`` stands for its lowest member ``rep[i]``, and ``sizes[i]``
     counts its members.  Each relation is held as the engine reads it,
     ``(entries per class, ids, witness ids or None)``: class ``i``'s
-    boundary, upper and co-boundary entries are those of ``rep[i]``, in
-    member entry order, and its lower entries those of ``rep[i]`` in face
-    order, with every member id replaced by its class.  Only the first
-    full-rule :func:`_quotient` call fills ``coboundary`` and ``lower``.
+    entries are those of ``rep[i]``, in member entry order (pairs sorted by
+    neighbor, then witness, as the triples hold them), with every member id
+    replaced by its class (:func:`_relation`).  Only the first full-rule
+    :func:`_quotient` call fills ``coboundary`` and ``lower``.
     Classes never span two dimensions and ascend with their
     representatives, so each dimension's classes and entries are
     contiguous.
@@ -585,33 +596,21 @@ def _quotient(c: HigherOrderComplex, rule: str = "reduced") -> _Quotient:
     cached on ``c``: its boundary and upper rows on first use, its
     co-boundary and lower rows on the first ``"full"`` call.
 
-    Every row comes from the boundary CSR, and the lower rows also from the
-    co-boundary CSR; no row is read from upper or lower triples.  The upper
-    rows are generated by :func:`_upper_rows`.  For the lower
-    rows, each face f of a representative s and every co-face t != s of f
-    give the entry (class of t, class of f).  The engine reads them only
-    where :func:`_two_faces` holds.  The content is deterministic, so which
-    of two concurrent fills lands does not matter.
+    Every relation is read by :func:`_relation` for the representatives,
+    so pair rows come from cached triples or are generated from the CSRs
+    for the representatives alone.  The engine reads the co-boundary and
+    lower rows only where :func:`_two_faces` holds.  The content is
+    deterministic, so which of two concurrent fills lands does not matter.
     """
     q, colors = c._quotient, stable_colors(c)
-    indptr, faces = c.boundary_csr()
     if q is None:
         _, rep, sizes = np.unique(colors, return_index=True, return_counts=True)
         q = c._quotient = _Quotient(
             c.kind, *_read_only(rep, sizes),
-            _class_rows(colors, indptr[rep], indptr[rep + 1], faces),
-            _upper_rows(colors, rep, indptr, faces))
+            *(_relation(c, name, colors, rep) for name in ("boundary", "upper")))
     if rule == "full" and q.lower is None:
-        co_indptr, cofaces = c.coboundary_csr()
-        owner, pos = _ranges(indptr[q.rep], indptr[q.rep + 1])
-        face = faces[pos]
-        entry, pos = _ranges(co_indptr[face], co_indptr[face + 1])
-        tau, owner, face = cofaces[pos], owner[entry], face[entry]
-        keep = tau != q.rep[owner]
-        q = c._quotient = q._replace(
-            coboundary=_class_rows(colors, co_indptr[q.rep], co_indptr[q.rep + 1], cofaces),
-            lower=_read_only(np.bincount(owner[keep], minlength=q.total),
-                             colors[tau[keep]], colors[face[keep]]))
+        q = c._quotient = q._replace(**{name: _relation(c, name, colors, q.rep)
+                                        for name in ("coboundary", "lower")})
     return q
 
 
@@ -623,30 +622,6 @@ def _class_rows(colors, starts, ends, ids, witness=None) -> tuple:
     if witness is None:
         return (*_read_only(ends - starts, colors[ids[pos]]), None)
     return _read_only(ends - starts, colors[ids[pos]], colors[witness[pos]])
-
-
-def _upper_rows(colors, rep, indptr, faces) -> tuple:
-    """The read-only quotient upper relation from the boundary CSR
-    ``(indptr, faces)``: class ``i`` holds the pairs (t, d) of its
-    representative ``rep[i]``, one for every co-face d of it and every other
-    face t of d, in (t, d) order and remapped by ``colors``, as the upper
-    triples sorted by (src, tau, delta) hold them.
-
-    One pass over the CSR entries finds the representatives' co-faces, so
-    neither the co-boundary CSR nor the member-level triples are built.
-    """
-    is_rep = np.zeros(colors.size, dtype=bool)
-    is_rep[rep] = True
-    hit = np.flatnonzero(is_rep[faces])  # CSR entries naming a representative
-    # the row of each entry: the last row starting at or before it
-    cofaces = np.searchsorted(indptr, hit, "right") - 1
-    # the co-face's other entries: its row less one, stepping over the hit
-    row, pos = _ranges(indptr[cofaces], indptr[cofaces + 1] - 1)
-    pos += pos >= hit[row]
-    cls, tau, delta = colors[faces[hit]][row], faces[pos], cofaces[row]
-    order = np.argsort(_row_keys((cls, tau, delta)))
-    return _read_only(np.bincount(cls, minlength=rep.size),
-                      colors[tau[order]], colors[delta[order]])
 
 
 def _two_faces(c: HigherOrderComplex) -> bool:

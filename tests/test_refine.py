@@ -1195,8 +1195,7 @@ class TestQuotientForm:
     @staticmethod
     def member_rows(c):
         """Every member's rows of the four relations from ``boundary_of``
-        alone: upper rows ordered by member ids, as the triples hold them,
-        lower rows by face, then co-face."""
+        alone: pair rows ordered by member ids, as the triples hold them."""
         boundary = [c.boundary_of(g).tolist() for g in range(c.total)]
         coboundary = [[] for _ in boundary]
         for d, row in enumerate(boundary):
@@ -1204,7 +1203,7 @@ class TestQuotientForm:
                 coboundary[b].append(d)
         upper = [sorted((t, d) for d in coboundary[s] for t in boundary[d] if t != s)
                  for s in range(c.total)]
-        lower = [[(t, b) for b in boundary[s] for t in coboundary[b] if t != s]
+        lower = [sorted((t, b) for b in boundary[s] for t in coboundary[b] if t != s)
                  for s in range(c.total)]
         return {"boundary": boundary, "upper": upper, "coboundary": coboundary,
                 "lower": lower}
@@ -1298,6 +1297,62 @@ class TestUpperRowsOracle:
         self.check(TestQuotientOracle.one_faced_edge())
 
 
+def lower_rows_from_triples(c):
+    """The quotient lower rows read from the member-level triples: each
+    representative's run of ``lower_adjacency``, remapped by class."""
+    colors, rep = stable_colors(c), refine._quotient(c).rep
+    src, tau, delta = c.lower_adjacency()
+    return refine._class_rows(colors, np.searchsorted(src, rep, "left"),
+                              np.searchsorted(src, rep, "right"), tau, delta)
+
+
+class TestLowerRowsOracle(TestUpperRowsOracle):
+    """The quotient's lower rows, generated from the co-boundary CSR for
+    the representatives alone, equal the rows read from the member-level
+    lower triples byte for byte, on the inputs of the upper oracle."""
+
+    @staticmethod
+    def check(c):
+        got = refine._quotient(c, "full").lower
+        assert c._lower_flat is None  # generated without the triples
+        want = lower_rows_from_triples(c)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+
+    def test_srg_lifts(self, srg_specs):
+        # SR(35,18,9,9) is left out: its member-level lower triples at path
+        # dimension 3 take 1.2 s and about 730 MB to build
+        from pathcomplex.bench import load_family
+
+        for name in ("SR(16,6,2,2)", "SR(25,12,5,6)", "SR(26,10,3,4)",
+                     "SR(28,12,6,4)"):
+            for g in load_family(srg_specs[name]):
+                self.check(lift_path_complex(g, 3))
+
+
+class TestMemberRunsKeepNoTriples:
+    """Cold full-rule runs over members generate their upper and lower
+    triples for themselves and leave neither on the complexes."""
+
+    @pytest.mark.parametrize("run", [
+        lambda x, y: refine_pair(x, y, "full"),
+        lambda x, y: refinement_trace(x, y, 3, "full"),
+        lambda x, y: (stable_fingerprint(x, "full"), stable_fingerprint(y, "full")),
+    ], ids=["refine_pair", "refinement_trace", "stable_fingerprint"])
+    def test_full_rule_runs(self, srg_specs, run):
+        from pathcomplex.bench import load_family
+
+        pairs = [(lift(C6), lift(TWO_K3)) for lift in RANDOM_LIFTS]
+        pairs.append([lift_path_complex(g, 3)
+                      for g in load_family(srg_specs["SR(16,6,2,2)"])[:2]])
+        for x, y in pairs:
+            run(x, y)
+            for c in (x, y):
+                assert c._upper_flat is None and c._lower_flat is None
+
+
 class TestNoCachedUpperTriples:
     """Runs over members build upper triples only for themselves, unless a
     caller cached them through ``upper_adjacency``."""
@@ -1309,9 +1364,10 @@ class TestNoCachedUpperTriples:
         calls = []
         pair_triples = complexes._pair_triples
 
-        def counted(*args):
-            calls.append(1)
-            return pair_triples(*args)
+        def counted(indptr, indices, sources=None):
+            if sources is None:  # a member-level build
+                calls.append(1)
+            return pair_triples(indptr, indices, sources)
 
         monkeypatch.setattr(complexes, "_pair_triples", counted)
         monkeypatch.setattr(refine, "_pair_triples", counted)

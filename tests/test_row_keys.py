@@ -64,8 +64,20 @@ def assert_triples_equal(got, want):
         assert np.array_equal(a, b)
 
 
+def assert_sources_match_lexsort(indptr, indices, ids, rng):
+    """``_pair_triples`` for no source, every id below ``ids`` and seeded
+    ascending subsets of them: the lexsorted triples of those sources."""
+    want = lexsorted_triples(indptr, indices)
+    subsets = [np.flatnonzero(rng.random(ids) < p) for p in (0.05, 0.3, 0.7)]
+    for sources in [np.zeros(0, dtype=np.int64), np.arange(ids)] + subsets:
+        keep = np.isin(want[0], sources)
+        assert_triples_equal(_pair_triples(indptr, indices, sources),
+                             [a[keep] for a in want])
+
+
 def test_pair_triples_match_lexsort_on_random_csrs():
     rng = np.random.default_rng(12)
+    pick = np.random.default_rng(13)  # sources, apart from the CSRs' own draws
     for _ in range(40):
         ids = int(rng.integers(1, 60))
         lens = rng.integers(0, min(ids, 7), size=int(rng.integers(0, 50)))
@@ -75,12 +87,16 @@ def test_pair_triples_match_lexsort_on_random_csrs():
         indices = np.concatenate([np.zeros(0, dtype=np.int64), *rows])
         assert_triples_equal(_pair_triples(indptr, indices),
                              lexsorted_triples(indptr, indices))
+        assert_sources_match_lexsort(indptr, indices, ids, pick)
 
 
 def test_pair_triples_match_lexsort_on_an_srg_path_complex(srg_specs):
     c = lift_path_complex(load_family(srg_specs["SR(16,6,2,2)"])[0], 3)
     assert_triples_equal(c.upper_adjacency(), lexsorted_triples(*c.boundary_csr()))
     assert_triples_equal(c.lower_adjacency(), lexsorted_triples(*c.coboundary_csr()))
+    rng = np.random.default_rng(14)
+    for csr in (c.boundary_csr(), c.coboundary_csr()):
+        assert_sources_match_lexsort(*csr, c.total, rng)
 
 
 # rings (0, 1, 2) and (0, 1, 3, 4): the triangle's row is padded with -1
