@@ -34,10 +34,9 @@ The coboundary CSR (a stable argsort of the boundary CSR) is derived from
 it on first use and cached.  One generator, ``_pair_triples``, enumerates
 the ordered pairs within the rows of a CSR in lexicographic order, for
 every source or for given ones: the upper and lower adjacency triples are
-those of the two CSRs.
-The package's own pipeline calls neither ``upper_adjacency`` nor
-``lower_adjacency``, which cache them: a lift keeps no member-level pair
-triples unless a caller asks for them.
+those of the two CSRs.  The package's own pipeline calls neither
+``upper_adjacency`` nor ``lower_adjacency``, which cache them: a lift
+keeps no member-level pair triples unless a caller asks for them.
 """
 
 from __future__ import annotations
@@ -275,7 +274,8 @@ def _pair_triples(indptr, indices, sources=None):
     ``src`` is one of them.  Each entry naming a source is paired with
     every other entry of its row, so no row is read for a source it lacks.
     Where the ids and rows allow, the triples are packed into one int64 key
-    each, sorted in place and unpacked, so no argsort or gather runs.
+    each, sorted in place and unpacked, so no argsort or gather runs; the
+    CSR is int64, as every CSR of a complex is.
     """
     if sources is None:
         hit = np.arange(indices.size)  # every entry names a source
