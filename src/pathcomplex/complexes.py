@@ -26,17 +26,16 @@ repeated once per neighbour of its last vertex and the neighbour appended,
 which keeps the rows in lexicographic order.  Rings grow the same way, as
 induced paths (the working set) until the new vertex closes a chordless
 cycle.  Every bulk sort or lookup of rows goes through one lexicographic
-row key, ``_row_keys``, save the pair triples below, which pack each
-triple into one int64 key where it fits.  One array assembler serves all
-three kinds, and the PCX reader: it builds each row's canonical faces as
-arrays and finds their ids among the row keys of the dimension below.
-The coboundary CSR (a stable argsort of the boundary CSR) is derived from
-it on first use and cached.  One generator, ``_pair_triples``, enumerates
-the ordered pairs within the rows of a CSR in lexicographic order, for
-every source or for given ones: the upper and lower adjacency triples are
-those of the two CSRs.  The package's own pipeline calls neither
-``upper_adjacency`` nor ``lower_adjacency``, which cache them: a lift
-keeps no member-level pair triples unless a caller asks for them.
+row key, ``_row_keys``.  One array assembler serves all three kinds, and
+the PCX reader: it builds each row's canonical faces as arrays and finds
+their ids among the row keys of the dimension below.  The coboundary CSR
+(a stable argsort of the boundary CSR) is derived from it on first use and
+cached.  One generator, ``_pair_triples``, enumerates the ordered pairs
+within the rows of a CSR, sorted by row key, for every source or for given
+ones: the upper and lower adjacency triples are those of the two CSRs.
+The package's own pipeline calls neither ``upper_adjacency`` nor
+``lower_adjacency``, which cache them: a lift keeps no member-level pair
+triples unless a caller asks for them.
 """
 
 from __future__ import annotations
@@ -273,9 +272,6 @@ def _pair_triples(indptr, indices, sources=None):
     (b,a,delta), ...; with ``sources``, ascending ids, only the pairs whose
     ``src`` is one of them.  Each entry naming a source is paired with
     every other entry of its row, so no row is read for a source it lacks.
-    Where the ids and rows allow, the triples are packed into one int64 key
-    each, sorted in place and unpacked, so no argsort or gather runs; the
-    CSR is int64, as every CSR of a complex is.
     """
     if sources is None:
         hit = np.arange(indices.size)  # every entry names a source
@@ -291,17 +287,12 @@ def _pair_triples(indptr, indices, sources=None):
     pair, pos = _ranges(indptr[row], indptr[row + 1] - 1)
     own = hit[pair]
     pos += pos >= own
-    ids, rows = 1 + int(indices.max(initial=0)), indptr.size  # radixes
-    if ids * ids * rows > 2 ** 63:  # too wide for one key: sort by row keys
-        src, tau, delta = indices[own], indices[pos], row[pair]
-        order = np.argsort(_row_keys((src, tau, delta)))
-        return src[order], tau[order], delta[order]
-    key = (indices[own] * ids + indices[pos]) * rows + row[pair]
-    del pair, pos, own  # freed before the sort
-    key.sort()
-    rest, delta = np.divmod(key, rows)
-    del key
-    return (*np.divmod(rest, ids), delta)
+    src, tau, delta = indices[own], indices[pos], row[pair]
+    del pair, pos, own  # freed before the sort, which sets the peak
+    order = np.argsort(_row_keys((src, tau, delta)))
+    src = src[order]
+    tau = tau[order]
+    return src, tau, delta[order]
 
 
 def _offsets(carriers) -> tuple:

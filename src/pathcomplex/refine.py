@@ -344,7 +344,13 @@ def _relation(c, name: str, colors=None, rep=None):
             return np.diff(indptr), ids, None
         return _class_rows(colors, indptr[rep], indptr[rep + 1], ids)
     triples = c._upper_flat if name == "upper" else c._lower_flat
-    src, ids, witness = _pair_triples(*csr, rep) if triples is None else triples
+    if triples is not None:
+        src, ids, witness = triples
+    else:
+        src, ids, witness = _pair_triples(*csr, rep)
+        if rep is not None:  # the runs of rep[0], rep[1], ... fill them in order
+            return _read_only(np.bincount(colors[src], minlength=rep.size),
+                              colors[ids], colors[witness])
     if rep is None:
         return np.bincount(src, minlength=c.total), ids, witness
     return _class_rows(colors, np.searchsorted(src, rep, "left"),

@@ -99,28 +99,6 @@ def test_pair_triples_match_lexsort_on_an_srg_path_complex(srg_specs):
         assert_sources_match_lexsort(*csr, c.total, rng)
 
 
-@pytest.mark.parametrize("top, rows, packed", [
-    (2 ** 31 - 1, 1, True), (2 ** 31, 1, False), (2 ** 31 - 1, 5, False),
-    (2 ** 40, 5, False), (2 ** 20, 5, True),
-])
-def test_pair_triples_match_lexsort_at_wide_ids(monkeypatch, top, rows, packed):
-    """Rows holding ``top`` and three lower ids.  One int64 key packs each
-    triple while (top + 1) ** 2 * (rows + 1) <= 2**63, so a single row up
-    to 2**31 - 1 packs keys just below 2**63; wider CSRs sort by row keys."""
-    from pathcomplex import complexes
-
-    rng = np.random.default_rng(15)
-    row_list = [np.append(np.unique(rng.integers(0, top, size=3)), top)
-                for _ in range(rows)]
-    indptr = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in row_list], out=indptr[1:])
-    indices = np.concatenate(row_list).astype(np.int64)
-    calls = []
-    monkeypatch.setattr(complexes, "_row_keys", lambda cols: calls.append(1) or _row_keys(cols))
-    assert_triples_equal(_pair_triples(indptr, indices), lexsorted_triples(indptr, indices))
-    assert calls == ([] if packed else [1])
-
-
 # rings (0, 1, 2) and (0, 1, 3, 4): the triangle's row is padded with -1
 RINGS = SimpleGraph.from_edges(5, [(0, 1), (1, 2), (0, 2), (1, 3), (3, 4), (0, 4)])
 
