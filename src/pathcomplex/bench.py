@@ -123,8 +123,8 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}")
         check_lift_args(*self.lift_args[:3])
         NetworkParams.check_shape(self.layers, self.hidden_dim, self.embed_dim)
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < float("inf"):  # nan compares false too
+            raise ValueError("epsilon must be positive and finite")
         if self.member_cap <= 0 or self.threads <= 0:
             raise ValueError("member-cap and threads must be positive")
         if self.is_network and not self.seeds:

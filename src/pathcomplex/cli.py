@@ -148,16 +148,16 @@ def _add_common_flags(parser):
         parser.add_argument(f"--{key}", type=parse, **options)
 
 
-def _read_all_graphs(path: str, fmt: str):
+def _read_all_graphs(path: str, fmt: str, member_cap: int):
     if fmt == "auto":
         fmt = "graph6" if path.endswith((".g6", ".graph6")) else "edges"
     if fmt == "graph6":
         return read_graph6_file(path)
-    return [parse_edge_list(read_text(path, "UTF-8", GraphParseError))]
+    return [parse_edge_list(read_text(path, "UTF-8", GraphParseError), member_cap)]
 
 
-def _read_one_graph(path: str, fmt: str, index: int):
-    graphs = _read_all_graphs(path, fmt)
+def _read_one_graph(path: str, fmt: str, index: int, member_cap: int):
+    graphs = _read_all_graphs(path, fmt, member_cap)
     if not graphs:
         raise GraphParseError(f"{path}: no graphs found")
     if not 0 <= index < len(graphs):
@@ -174,7 +174,7 @@ def _read_one_graph(path: str, fmt: str, index: int):
 
 def _cmd_lift(args) -> int:
     cfg = _run_config(args, method=_LIFT_METHODS[args.kind])
-    complex_ = cfg.lift(_read_one_graph(args.input, args.format, args.index))
+    complex_ = cfg.lift(_read_one_graph(args.input, args.format, args.index, cfg.member_cap))
     if args.out:
         with open(args.out, "w", encoding="ascii") as handle:
             handle.write(serialize_complex(complex_))
@@ -188,8 +188,8 @@ def _cmd_lift(args) -> int:
 
 def _cmd_test(args) -> int:
     cfg = _run_config(args)
-    g1 = _read_one_graph(args.graph_a, args.format, args.index_a)
-    g2 = _read_one_graph(args.graph_b, args.format, args.index_b)
+    g1 = _read_one_graph(args.graph_a, args.format, args.index_a, cfg.member_cap)
+    g2 = _read_one_graph(args.graph_b, args.format, args.index_b, cfg.member_cap)
     c1, c2 = cfg.lift(g1), cfg.lift(g2)
     if cfg.is_network:
         # separated iff every seed pushes the pair past epsilon
@@ -245,7 +245,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_families(args) -> int:
     cfg = _run_config(args, method=_LIFT_METHODS["cell"])
-    complex_ = cfg.lift(_read_one_graph(args.input, args.format, args.index))
+    complex_ = cfg.lift(_read_one_graph(args.input, args.format, args.index, cfg.member_cap))
     rings = list(complex_.dim_range(2))
     if not rings:
         print("no rings")
@@ -273,7 +273,7 @@ def _cmd_families(args) -> int:
 
 def _cmd_time_lift(args) -> int:
     cfg = _run_config(args, method=_LIFT_METHODS[args.kind])
-    graphs = _read_all_graphs(args.input, args.format)
+    graphs = _read_all_graphs(args.input, args.format, cfg.member_cap)
     stats = time_lifting(graphs, cfg, repeats=args.repeats)
     if args.output_format == "json":
         print(json.dumps(stats.to_dict()))

@@ -26,11 +26,11 @@ repeated once per neighbour of its last vertex and the neighbour appended,
 which keeps the rows in lexicographic order.  Rings grow the same way, as
 induced paths (the working set) until the new vertex closes a chordless
 cycle.  Every bulk sort or lookup of rows goes through one lexicographic
-row key, ``_row_keys``.  One array assembler serves all three kinds, and
-the PCX reader: it builds each row's canonical faces as arrays and finds
-their ids among the row keys of the dimension below.  The coboundary CSR
-(a stable argsort of the boundary CSR) is derived from it on first use and
-cached.  One generator, ``_pair_triples``, enumerates the ordered pairs
+row key, ``_row_keys``.  One array assembler serves all three kinds: it
+builds each row's canonical faces as arrays and finds their ids among the
+row keys of the dimension below; ``check`` holds a complex to those faces,
+and the PCX reader parses to arrays and calls it.  The coboundary CSR is
+cached on first use.  One generator, ``_pair_triples``, enumerates pairs
 within the rows of a CSR, sorted by row key, for every source or for given
 ones: the upper and lower adjacency triples are those of the two CSRs.
 The package's own pipeline calls neither ``upper_adjacency`` nor
@@ -41,6 +41,7 @@ triples unless a caller asks for them.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -235,6 +236,52 @@ class HigherOrderComplex:
             self._lower_flat = _read_only(*_pair_triples(*self.coboundary_csr()))
         return self._lower_flat
 
+    def check(self):
+        """Raise :class:`SerializationError` at the first fault: per dimension, a vertex
+        outside ``range(n)``, a non-canonical carrier or rows out of order; then a carrier
+        that is no walk, clique or chordless cycle of the edges; then, by member id, a
+        boundary id naming no incidence face, one held twice, or a truncation face left out."""
+        for p, rows in enumerate(self.carriers):
+            pad = np.logical_and.accumulate(rows[:, ::-1] == -1, axis=1)[:, ::-1]
+            outside = (~pad & ((rows < 0) | (rows >= self.n))).any(axis=1)
+            for i in np.flatnonzero(outside | ~_canonical(self.kind, p, rows, pad))[:1]:
+                gid = self.dim_offsets[p] + i
+                raise SerializationError(
+                    f"vertex out of range in member {gid}" if outside[i] else
+                    f"member {gid} is not a canonical dimension-{p} {self.kind} carrier")
+            if len(rows) > 1 and (np.diff(_row_keys((rows + 1).T)) <= 0).any():
+                raise SerializationError(
+                    f"dimension {p} members repeat or leave lexicographic order")
+        for p, rows in enumerate(self.carriers[2:], start=2):
+            for i in np.flatnonzero(~_spans(self.kind, rows, self.carriers[1]))[:1]:
+                raise SerializationError(f"member {self.dim_offsets[p] + i} is not a "
+                                         f"{_SHAPES[self.kind]} of the dimension-1 members")
+        indptr, indices = self._boundary_csr
+        for p in range(self.max_dim + 1):
+            (start, stop), lo = self.dim_offsets[p:p + 2], self.dim_offsets[max(p - 1, 0)]
+            b = indices[indptr[start]:indptr[stop]]
+            row = np.repeat(np.arange(stop - start), np.diff(indptr[start:stop + 1]))
+            faces, need, ids = _face_ids(self.kind, self.carriers, p)
+            need[:, 1:-1] &= self.kind != "path"  # truncation keeps a path's ends
+            # held[i, q]: how often row i names face q; a stray id names none
+            inside = np.where((b >= lo) & (b < start), b - lo, -2)
+            entry, q = np.nonzero(ids[row] == inside[:, None])
+            held = np.bincount(row[entry] * need.shape[1] + q, minlength=need.size)
+            held, stray = held.reshape(need.shape), np.bincount(entry, minlength=b.size) == 0
+            faulty = (need & (held == 0) | (held > 1)).any(axis=1)
+            faulty[row[stray]] = True
+            for i in np.flatnonzero(faulty)[:1]:  # the first faulty row, if any
+                gid, wrong = start + i, np.sort(b[stray & (row == i)])
+                missing = map(tuple, faces[i][need[i] & (held[i] == 0)].tolist())
+                raise SerializationError(
+                    f"dangling boundary id {wrong[0]} for member {gid} (dimension {p})"
+                    if wrong.size and not lo <= wrong[0] < start else
+                    f"boundary id {wrong[0]} of member {gid} is not a face of its carrier"
+                    if wrong.size else
+                    f"repeated boundary id for member {gid}"
+                    if (held[i] > 1).any() else
+                    f"boundary of member {gid} lacks its face {min(missing)}")
+
     # -- comparisons -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -305,23 +352,6 @@ def _tuples(rows) -> list:
     if rows.size and rows[:, -1].min() < 0:
         return [tuple(v for v in row if v >= 0) for row in rows.tolist()]
     return list(map(tuple, rows.tolist()))
-
-
-def _rows(carriers, width) -> np.ndarray:
-    """Carrier tuples as an int64 array at least ``width`` wide; rows shorter
-    than the array (ring cells) are padded with -1 at the end."""
-    width = max(width, max(map(len, carriers), default=0))
-    out = np.full((len(carriers), width), -1, dtype=np.int64)
-    for i, c in enumerate(carriers):
-        out[i, :len(c)] = c
-    return out
-
-
-def _pack(sizes, flat):
-    """(indptr, indices) from per-row sizes and the rows' ids laid end to end."""
-    indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    return indptr, np.array(flat, dtype=np.int64)
 
 
 def _ranges(starts: np.ndarray, ends: np.ndarray):
@@ -396,9 +426,9 @@ def _face_ids(kind, carriers, p, truncation=False):
     incidence its id alone decides whether it bounds the path.
     """
     rows = carriers[p]
-    if not len(rows):
-        ids = np.zeros((0, p + 1), dtype=np.int64)
-        return np.zeros((0, p + 1, p), dtype=np.int64), ids >= 0, ids
+    if not (len(rows) and p):  # a vertex has no faces
+        ids = np.full((len(rows), p + 1), -1, dtype=np.int64)
+        return np.zeros((len(rows), p + 1, p), dtype=np.int64), ids >= 0, ids
     if kind == "cell" and p == 2:
         after = np.roll(rows, -1, axis=1)
         after = np.where(after >= 0, after, rows[:, :1])
@@ -674,7 +704,8 @@ def serialize_complex(c: HigherOrderComplex) -> str:
 def deserialize_complex(text: str) -> HigherOrderComplex:
     """Parse a PCX v1 payload; any malformed input raises SerializationError."""
     try:
-        return _parse_pcx(text)
+        (c := _parse_pcx(text)).check()
+        return c
     except SerializationError:
         raise
     except (ValueError, KeyError, IndexError, OverflowError) as exc:
@@ -684,7 +715,7 @@ def deserialize_complex(text: str) -> HigherOrderComplex:
 
 
 def _parse_pcx(text: str) -> HigherOrderComplex:
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
+    lines = text.splitlines()
     if not lines:
         raise SerializationError("empty payload")
     head = lines[0].split()
@@ -700,7 +731,7 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
     max_dim = int(fields["maxdim"])
     if max_dim < 0 or (kind == "cell" and max_dim > 2):
         raise SerializationError(f"maxdim {max_dim} out of range for kind {kind!r}")
-    members, carriers = [], []
+    carriers = []
     pos = 1
     expected_gid = 0
     for p in range(max_dim + 1):
@@ -717,94 +748,58 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
             # n may be built from a header the members do not back
             raise SerializationError(f"dim 0 count {count} differs from n={n}")
         pos += 1
-        ms = []
-        for _ in range(count):
-            gid_s, _, rest = lines[pos].partition(":")
-            if int(gid_s) != expected_gid:
-                raise SerializationError(
-                    f"member ids must be consecutive; got {gid_s} wanted {expected_gid}"
-                )
-            carrier = tuple(int(v) for v in rest.split())
-            if any(not 0 <= v < n for v in carrier):
-                raise SerializationError(f"vertex out of range in member {gid_s}")
-            if not _is_canonical(kind, p, carrier):
-                raise SerializationError(
-                    f"member {gid_s} is not a canonical dimension-{p} {kind} carrier"
-                )
-            ms.append(carrier)
-            expected_gid += 1
-            pos += 1
-        members.append(ms)
-        carriers.append(_rows(ms, p + 1))
-        # a single row is in order, and the keys cost O(p) even for none
-        if len(ms) > 1 and (np.diff(_row_keys((carriers[p] + 1).T)) <= 0).any():
+        gid_s, _, carrier, lens = _split(lines[pos:pos + count])
+        for i in np.flatnonzero(_ints(gid_s) != np.arange(len(gid_s)) + expected_gid)[:1]:
             raise SerializationError(
-                f"dimension {p} members repeat or leave lexicographic order"
-            )
+                f"member ids must be consecutive; got {gid_s[i]} wanted {expected_gid + i}")
+        if len(gid_s) < count:
+            raise IndexError("list index out of range")
+        carrier[carrier < 0] = n  # out of range all the same, and apart from padding
+        limit = n + 1 if kind == "cell" and p == 2 else p + 2  # no carrier is longer
+        width = max(p + 1, min(int(lens.max(initial=0)), limit))
+        row, col = _ranges(np.zeros_like(lens), lens)
+        carriers.append(np.full((len(lens), width), -1, dtype=np.int64))
+        # padded with -1; a longer row keeps the greatest of its surplus last
+        np.maximum.at(carriers[p], (row, np.minimum(col, width - 1)), carrier)
+        expected_gid += count
+        pos += count
     if pos >= len(lines) or lines[pos] != "boundaries":
         raise SerializationError("missing 'boundaries' section")
     pos += 1
     total = expected_gid
-    offsets = _offsets(members)
-    for p in range(2, max_dim + 1):
-        bad = np.flatnonzero(~_spans(kind, carriers[p], carriers[1]))
-        if bad.size:
-            raise SerializationError(
-                f"member {offsets[p] + bad[0]} is not a {_SHAPES[kind]} "
-                "of the dimension-1 members"
-            )
-    # a row may hold its incidence faces and must hold its truncation faces
-    # (for simplices and cells the two are the same: every face)
-    may, must = [None], [None]
-    for p in range(1, max_dim + 1):
-        may.append(_face_ids(kind, carriers, p)[2].tolist())
-        faces, bounds, ids = _face_ids(kind, carriers, p, truncation=True)
-        must.append((faces, np.where(bounds, ids, -2).tolist()))
-    rows = [None] * total
-    for _ in range(total):
-        if pos >= len(lines):
-            raise SerializationError("truncated boundaries section")
-        gid_s, sep, rest = lines[pos].partition(":")
-        if not sep:
-            raise SerializationError(f"bad boundary line: {lines[pos]!r}")
-        gid = int(gid_s)
-        if not 0 <= gid < total:
-            raise SerializationError(f"boundary line for unknown member {gid}")
-        if rows[gid] is not None:
-            raise SerializationError(f"repeated boundary line for member {gid}")
-        ids = sorted(int(v) for v in rest.split())
-        dim = next(p for p in range(max_dim + 1) if gid < offsets[p + 1])
-        lo, hi = offsets[max(dim - 1, 0)], offsets[dim]
-        i = gid - offsets[dim]
-        allowed = {lo + b for b in may[dim][i] if b >= 0} if dim else set()
-        for b in ids:
-            if not lo <= b < hi:
-                raise SerializationError(
-                    f"dangling boundary id {b} for member {gid} (dimension {dim})"
-                )
-            if b not in allowed:
-                raise SerializationError(
-                    f"boundary id {b} of member {gid} is not a face of its carrier"
-                )
-        held = set(ids)
-        if len(held) != len(ids):
-            raise SerializationError(f"repeated boundary id for member {gid}")
-        if dim:
-            faces, required = must[dim]
-            missing = [
-                tuple(faces[i, q].tolist()) for q, b in enumerate(required[i])
-                if b == -1 or b >= 0 and lo + b not in held
-            ]
-            if missing:
-                raise SerializationError(
-                    f"boundary of member {gid} lacks its face {min(missing)}"
-                )
-        rows[gid] = ids
-        pos += 1
-    return HigherOrderComplex(
-        kind, n, max_dim, carriers,
-        *_pack([len(r) for r in rows], [b for r in rows for b in r]),
-    )
+    gid_s, colon, ids, lens = _split(lines[pos:pos + total])
+    if not all(colon):
+        raise SerializationError(f"bad boundary line: {lines[pos + colon.index(False)]!r}")
+    gid = _ints(gid_s)
+    repeated = np.isin(np.arange(gid.size), np.unique(gid, return_index=True)[1], invert=True)
+    for i in np.flatnonzero((gid < 0) | (gid >= total) | repeated)[:1]:
+        raise SerializationError(
+            f"boundary line for unknown member {int(gid_s[i])}" if not 0 <= gid[i] < total
+            else f"repeated boundary line for member {gid[i]}")
+    if len(gid_s) < total:
+        raise SerializationError("truncated boundaries section")
+    owner = np.repeat(gid, lens)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=total))))
+    order = np.argsort(owner * (total + 2) + ids.clip(-1, total), kind="stable")  # rows ascend
+    return HigherOrderComplex(kind, n, max_dim, carriers, indptr, ids[order])
+
+
+def _split(lines) -> tuple:
+    """Lines ``head: v v ...`` as heads, colon flags, int64 values v and values per line."""
+    colon = itertools.repeat(":")  # no line's parts outlive it, which spares the GC
+    heads, rests = (list(map(operator.itemgetter(j), map(str.partition, lines, colon)))
+                    for j in (0, 2))
+    lens = np.fromiter(map(len, map(str.split, rests)), np.int64, len(rests))
+    values = _ints("\n".join(rests).split())
+    return heads, list(map(str.__contains__, lines, colon)), values, lens
+
+
+def _ints(strings) -> np.ndarray:
+    """``int`` of each string, as int64."""
+    try:
+        return np.fromiter(map(int, strings), np.int64, len(strings))
+    except OverflowError:  # clamped, a value past int64 is out of range all the same
+        return np.array([*map(int, strings)], object).clip(-2**63, 2**63 - 1).astype(np.int64)
 
 
 _SHAPES = {"path": "walk", "simplex": "clique", "cell": "chordless cycle"}
@@ -824,11 +819,15 @@ def _spans(kind, rows, edges) -> np.ndarray:
     return ((_adjacent(edges, rows[:, i], rows[:, j]) == want) | (j >= m)).all(axis=1)
 
 
-def _is_canonical(kind, p, carrier) -> bool:
-    """True iff ``carrier`` is a simple dimension-p carrier in canonical orientation."""
-    if len(set(carrier)) != len(carrier):
-        return False
+def _canonical(kind, p, rows, pad) -> np.ndarray:
+    """True per row (padded where ``pad``) of p + 1 distinct vertices, a path's first below
+    its last, a simplex ascending; or a ring of 3+ from the least to the smaller neighbour."""
+    size = (~pad).sum(axis=1)
+    ordered = np.sort(rows, axis=1)
+    ok = ~((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, :-1] >= 0)).any(axis=1)
+    last = np.take_along_axis(rows, np.maximum(size - 1, 0)[:, None], axis=1)[:, 0]
     if kind == "cell" and p == 2:
-        return len(carrier) >= 3 and carrier == canonical_ring(carrier)
-    canonical = canonical_path(carrier) if kind == "path" else tuple(sorted(carrier))
-    return len(carrier) == p + 1 and carrier == canonical
+        least = ((rows[:, 1:] > rows[:, :1]) | pad[:, 1:]).all(axis=1)
+        return ok & (size >= 3) & least & (rows[:, 1] < last)
+    ascending = ((np.diff(rows, axis=1) > 0) | pad[:, 1:]).all(axis=1)
+    return ok & (size == p + 1) & (rows[:, 0] <= last if kind == "path" else ascending)

@@ -230,11 +230,11 @@ def read_graph6_file(path) -> list:
 # ---------------------------------------------------------------------------
 
 
-def parse_edge_list(text: str) -> SimpleGraph:
-    """The graph of an edge list.  A malformed line raises
-    :class:`GraphParseError` naming it; a header count above
-    ``DEFAULT_MEMBER_CAP`` raises :class:`CapacityError` before anything
-    vertex-sized is allocated."""
+def parse_edge_list(text: str, member_cap: int | None = None) -> SimpleGraph:
+    """The graph of an edge list.  A malformed line raises :class:`GraphParseError`
+    naming it; a header count above ``member_cap`` (``DEFAULT_MEMBER_CAP`` if None)
+    raises :class:`CapacityError` before anything vertex-sized is allocated."""
+    member_cap = DEFAULT_MEMBER_CAP if member_cap is None else member_cap
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -253,10 +253,10 @@ def parse_edge_list(text: str) -> SimpleGraph:
                 raise GraphParseError(f"line {lineno}: bad vertex count {parts[1]!r}")
             if n < 0:
                 raise GraphParseError(f"line {lineno}: negative vertex count")
-            if n > DEFAULT_MEMBER_CAP:
+            if n > member_cap:
                 raise CapacityError(
                     f"line {lineno}: {n} vertices exceed the member cap "
-                    f"{DEFAULT_MEMBER_CAP}, since every lift lists each vertex"
+                    f"{member_cap}, since every lift lists each vertex"
                 )
             continue
         if len(parts) != 2:

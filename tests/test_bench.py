@@ -102,6 +102,9 @@ class TestRunConfig:
         ({"threads": 0}, "must be positive"),
         ({"hidden_dim": 0}, "must be positive"),
         ({"embed_dim": -1}, "must be positive"),
+        ({"epsilon": 0.0}, "epsilon must be positive and finite"),
+        ({"epsilon": float("nan")}, "epsilon must be positive and finite"),
+        ({"epsilon": float("inf")}, "epsilon must be positive and finite"),
     ])
     def test_validate_rejects_each_setting(self, setting, message):
         with pytest.raises(ValueError, match=message):

@@ -117,6 +117,18 @@ class TestLift:
         assert (code, out) == (3, "")
         assert "1000000000 vertices exceed the member cap" in err
 
+    def test_edge_list_above_the_run_member_cap_exits_3(self, capsys, tmp_path):
+        huge = tmp_path / "huge.edges"
+        huge.write_text("n 40000000\n")
+        start = time.perf_counter()
+        # a reader that built the graph first would fail on the cap with
+        # MemoryError here instead of taking seconds and gigabytes
+        with address_space_headroom(2**31):
+            code, out, err = run(capsys, "lift", huge, "--member-cap", "100")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "40000000 vertices exceed the member cap 100" in err
+
     @pytest.mark.parametrize("kind", ["path", "simplex"])
     def test_huge_max_dim_exits_3_before_building(self, capsys, files, kind):
         start = time.perf_counter()
@@ -362,6 +374,14 @@ class TestConfig:
                            "--method", "pcn", "--config", cfg)
         assert code == 0
         assert out.startswith("NOT-DISTINGUISHED")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_epsilon_that_is_not_finite_is_a_usage_error(self, capsys, files, value):
+        # nan would call every pair distinguished: no distance is below it
+        code, out, err = run(capsys, "test", files["c6"], files["kk"],
+                             "--method", "pcn", "--seeds", "0", "--epsilon", value)
+        assert (code, out) == (1, "")
+        assert "epsilon must be positive and finite" in err
 
     def test_bad_flag_usage_error(self, capsys, files):
         code, _, err = run(capsys, "lift", files["p4"], "--kind", "banana")

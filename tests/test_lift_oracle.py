@@ -1,10 +1,14 @@
-"""The array liftings against the recursive tuple liftings they replaced.
+"""The array liftings and the array PCX reader against the tuple code they
+replaced.
 
-The reference below enumerates carriers by depth-first search into tuples
-and fills the boundary CSR through a dict from carrier to id, one member at
+The reference liftings enumerate carriers by depth-first search into tuples
+and fill the boundary CSR through a dict from carrier to id, one member at
 a time.  The array liftings must give the same member lists, the same CSR
-bytes and the same PCX text, and the PCX reader must reject a tampered
-boundary row with the same message as the reference's checks.
+bytes and the same PCX text, and every lift must pass ``check``.  The
+reference reader parses a PCX payload line by line and checks each member
+with tuple code and each boundary line against Python sets.  The array
+reader must load the payloads it loads, as equal complexes, and reject the
+others; a payload with a single fault gets the reference's message.
 """
 
 import itertools
@@ -13,10 +17,18 @@ import numpy as np
 import pytest
 
 from pathcomplex.complexes import (
+    LIFT_PARAMS,
     CapacityError,
+    HigherOrderComplex,
     SerializationError,
+    _SHAPES,
+    _face_ids,
+    _offsets,
     _row_index,
+    _row_keys,
+    _spans,
     canonical_path,
+    canonical_ring,
     deserialize_complex,
     lift_clique_complex,
     lift_path_complex,
@@ -32,6 +44,7 @@ from pathcomplex.graphs import (
     random_graph,
     read_graph6_file,
 )
+from test_complexes import _mutate
 
 # -- the reference lifting ---------------------------------------------------
 
@@ -181,6 +194,168 @@ def ref_row_error(kind, members, gid, ids):
     return None
 
 
+# -- the reference reader ------------------------------------------------------
+
+
+def ref_deserialize(text):
+    """The reference reader; any malformed payload raises SerializationError."""
+    try:
+        return _ref_parse(text)
+    except SerializationError:
+        raise
+    except (ValueError, KeyError, IndexError, OverflowError) as exc:
+        raise SerializationError(
+            f"malformed PCX payload ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _ref_parse(text):
+    lines = text.splitlines()
+    if not lines:
+        raise SerializationError("empty payload")
+    head = lines[0].split()
+    if len(head) != 5 or head[0] != "PCX":
+        raise SerializationError(f"bad header: {lines[0]!r}")
+    if head[1] != "v1":
+        raise SerializationError(f"unsupported format version {head[1]!r}")
+    fields = dict(part.split("=", 1) for part in head[2:])
+    kind = fields["kind"]
+    if kind not in LIFT_PARAMS:
+        raise SerializationError(f"unknown kind {kind!r}")
+    n = int(fields["n"])
+    max_dim = int(fields["maxdim"])
+    if max_dim < 0 or (kind == "cell" and max_dim > 2):
+        raise SerializationError(f"maxdim {max_dim} out of range for kind {kind!r}")
+    members, carriers = [], []
+    pos = 1
+    expected_gid = 0
+    for p in range(max_dim + 1):
+        if pos >= len(lines):
+            raise SerializationError(f"missing 'dim {p}' section")
+        parts = lines[pos].split()
+        if len(parts) != 4 or parts[0] != "dim" or int(parts[1]) != p:
+            raise SerializationError(f"bad dimension header: {lines[pos]!r}")
+        count = int(parts[3])
+        if count < 0:
+            raise SerializationError(f"dim {p} count {count} is negative")
+        if p == 0 and count != n:
+            raise SerializationError(f"dim 0 count {count} differs from n={n}")
+        pos += 1
+        ms = []
+        for _ in range(count):
+            gid_s, _, rest = lines[pos].partition(":")
+            if int(gid_s) != expected_gid:
+                raise SerializationError(
+                    f"member ids must be consecutive; got {gid_s} wanted {expected_gid}"
+                )
+            carrier = tuple(int(v) for v in rest.split())
+            if any(not 0 <= v < n for v in carrier):
+                raise SerializationError(f"vertex out of range in member {gid_s}")
+            if not _ref_canonical(kind, p, carrier):
+                raise SerializationError(
+                    f"member {gid_s} is not a canonical dimension-{p} {kind} carrier"
+                )
+            ms.append(carrier)
+            expected_gid += 1
+            pos += 1
+        members.append(ms)
+        carriers.append(_ref_rows(ms, p + 1))
+        if len(ms) > 1 and (np.diff(_row_keys((carriers[p] + 1).T)) <= 0).any():
+            raise SerializationError(
+                f"dimension {p} members repeat or leave lexicographic order"
+            )
+    if pos >= len(lines) or lines[pos] != "boundaries":
+        raise SerializationError("missing 'boundaries' section")
+    pos += 1
+    total = expected_gid
+    offsets = _offsets(members)
+    for p in range(2, max_dim + 1):
+        bad = np.flatnonzero(~_spans(kind, carriers[p], carriers[1]))
+        if bad.size:
+            raise SerializationError(
+                f"member {offsets[p] + bad[0]} is not a {_SHAPES[kind]} "
+                "of the dimension-1 members"
+            )
+    # a row may hold its incidence faces and must hold its truncation faces
+    may, must = [None], [None]
+    for p in range(1, max_dim + 1):
+        may.append(_face_ids(kind, carriers, p)[2].tolist())
+        faces, bounds, ids = _face_ids(kind, carriers, p, truncation=True)
+        must.append((faces, np.where(bounds, ids, -2).tolist()))
+    rows = [None] * total
+    for _ in range(total):
+        if pos >= len(lines):
+            raise SerializationError("truncated boundaries section")
+        gid_s, sep, rest = lines[pos].partition(":")
+        if not sep:
+            raise SerializationError(f"bad boundary line: {lines[pos]!r}")
+        gid = int(gid_s)
+        if not 0 <= gid < total:
+            raise SerializationError(f"boundary line for unknown member {gid}")
+        if rows[gid] is not None:
+            raise SerializationError(f"repeated boundary line for member {gid}")
+        ids = sorted(int(v) for v in rest.split())
+        dim = next(p for p in range(max_dim + 1) if gid < offsets[p + 1])
+        lo, hi = offsets[max(dim - 1, 0)], offsets[dim]
+        i = gid - offsets[dim]
+        allowed = {lo + b for b in may[dim][i] if b >= 0} if dim else set()
+        for b in ids:
+            if not lo <= b < hi:
+                raise SerializationError(
+                    f"dangling boundary id {b} for member {gid} (dimension {dim})"
+                )
+            if b not in allowed:
+                raise SerializationError(
+                    f"boundary id {b} of member {gid} is not a face of its carrier"
+                )
+        held = set(ids)
+        if len(held) != len(ids):
+            raise SerializationError(f"repeated boundary id for member {gid}")
+        if dim:
+            faces, required = must[dim]
+            missing = [
+                tuple(faces[i, q].tolist()) for q, b in enumerate(required[i])
+                if b == -1 or b >= 0 and lo + b not in held
+            ]
+            if missing:
+                raise SerializationError(
+                    f"boundary of member {gid} lacks its face {min(missing)}"
+                )
+        rows[gid] = ids
+        pos += 1
+    indptr = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    indices = np.array([b for r in rows for b in r], dtype=np.int64)
+    return HigherOrderComplex(kind, n, max_dim, carriers, indptr, indices)
+
+
+def _ref_canonical(kind, p, carrier):
+    """True iff ``carrier`` is a simple dimension-p carrier in canonical orientation."""
+    if len(set(carrier)) != len(carrier):
+        return False
+    if kind == "cell" and p == 2:
+        return len(carrier) >= 3 and carrier == canonical_ring(carrier)
+    canonical = canonical_path(carrier) if kind == "path" else tuple(sorted(carrier))
+    return len(carrier) == p + 1 and carrier == canonical
+
+
+def _ref_rows(carriers, width):
+    """Carrier tuples as an int64 array at least ``width`` wide, rows padded with -1."""
+    width = max(width, max(map(len, carriers), default=0))
+    out = np.full((len(carriers), width), -1, dtype=np.int64)
+    for i, c in enumerate(carriers):
+        out[i, :len(c)] = c
+    return out
+
+
+def read_with(read, text):
+    """The complex ``read`` makes of ``text``, or the message it raises."""
+    try:
+        return read(text)
+    except SerializationError as exc:
+        return str(exc)
+
+
 # -- comparisons ---------------------------------------------------------------
 
 
@@ -193,8 +368,9 @@ def lift_both(g, kind, param, mode="incidence"):
 
 
 def assert_same(c, kind, n, members, indptr, indices, text=True):
-    """``c`` equals the reference lift; with ``text``, so do their PCX texts,
-    and the text reads back as ``c``."""
+    """``c`` equals the reference lift and passes ``check``; with ``text``, so
+    do their PCX texts, and the text reads back as ``c``."""
+    c.check()
     assert c.members_by_dim == members
     assert c.counts() == [len(ms) for ms in members]
     got_indptr, got_indices = c.boundary_csr()
@@ -313,6 +489,7 @@ def test_reader_messages_match_the_reference():
         for kind, mode in KIND_PARAMS:
             param = 4 if kind == "cell" else 3
             c, (members, indptr, indices) = lift_both(g, kind, param, mode or "incidence")
+            c.check()
             if c.total == 0:
                 continue
             text = serialize_complex(c)
@@ -348,7 +525,108 @@ def test_cap_is_exact(kind, param):
     g = random_graph(9, 0.6, np.random.default_rng(3))
     lift = {"path": lift_path_complex, "simplex": lift_clique_complex,
             "cell": lift_ring_complex}[kind]
-    total = lift(g, param).total
+    c = lift(g, param)
+    c.check()
+    total = c.total
     assert lift(g, param, member_cap=total).total == total
     with pytest.raises(CapacityError):
         lift(g, param, member_cap=total - 1)
+
+
+# -- the array reader against the reference reader ------------------------------
+
+# rings (0, 1, 2) and (0, 1, 3, 4): the triangle's row is padded with -1
+RINGS = SimpleGraph.from_edges(5, [(0, 1), (1, 2), (0, 2), (1, 3), (3, 4), (0, 4)])
+PAYLOADS = {
+    # path_graph(4) to dimension 2: edges are ids 4..6, 2-paths 7 and 8
+    "path": serialize_complex(lift_path_complex(path_graph(4), 2)),
+    # rings 11 (0, 1, 2) and 12 (0, 1, 3, 4)
+    "cell": serialize_complex(lift_ring_complex(RINGS, 4)),
+}
+
+
+@pytest.mark.parametrize("kind, old, new", [
+    # spellings that int and str.split accept
+    ("path", "5: 1 2\n", "05: +1 0_2\n"),
+    ("path", "5: 1 2\n", " 5 :1\t2\x1f\n"),
+    ("path", "5: 1 2\n", "5:\xa0١ 2\n"),
+    ("path", "7: 4 5\n", "7: 5 4\n"),
+    # one fault each
+    ("path", "0: 0\n1: 1\n", "1: 1\n0: 0\n"),
+    ("path", "5: 1 2\n", "5: 1 9\n"),
+    ("path", "5: 1 2\n", "5: 1 -1\n"),
+    ("path", "5: 1 2\n", "5: 1 99999999999999999999\n"),
+    ("path", "5: 1 2\n", "5: 2 1\n"),
+    ("path", "5: 1 2\n", "5: 1\n"),
+    ("path", "5: 1 2\n", "5\n"),
+    ("path", "5: 1 2\n", "5: 1 2 3\n"),
+    ("path", "5: 1 2\n", "5: 0 1 2 3 0 1 2 3 0 1 2 3 9\n"),
+    ("path", "5: 1 2\n", "5: 1 x\n"),
+    ("path", "5: 1 2\n", "6: 1 2\n"),
+    ("path", "5: 1 2\n", "99999999999999999999: 1 2\n"),
+    ("path", "6: 2 3\n", "6: 1 3\n"),
+    ("path", "7: 0 1 2\n", "7: 0 1 3\n"),
+    ("path", "0: \n", "0: 1\n"),
+    ("path", "7: 4 5\n", "7: 4 6\n"),
+    ("path", "7: 4 5\n", "7: 4 5 5\n"),
+    ("path", "7: 4 5\n", "7: 4 5 9\n"),
+    ("path", "7: 4 5\n", "7: 4 5 -1\n"),
+    ("path", "7: 4 5\n", "7: 4\n"),
+    ("path", "7: 4 5\n", "7 4 5\n"),
+    ("path", "7: 4 5\n", "9: 4 5\n"),
+    ("path", "7: 4 5\n", "99999999999999999999: 4 5\n"),
+    ("path", "7: 4 5\n", "8: 5 6\n"),
+    ("path", "8: 5 6\n", ""),
+    ("path", "boundaries\n", "boundary\n"),
+    ("cell", "11: 0 1 2\n", "11: 0 1 2 -1\n"),
+    ("cell", "11: 0 1 2\n", "11: 0 1 -1\n"),
+    ("cell", "11: 0 1 2\n", "11: 0 2 1\n"),
+    ("cell", "11: 0 1 2\n", "11: 1 2 0\n"),
+    ("cell", "11: 0 1 2\n", "11: 0 1\n"),
+    ("cell", "12: 0 1 3 4\n", "12: 0 1 3 4 4 4 4 4 4 4 4\n"),
+    ("cell", "12: 0 1 3 4\n", "12: 0 1 3 4 2 2 2 2 2 2 2 9\n"),
+    ("cell", "12: 0 1 3 4\n", "12: 0 1 3 4 2\n"),
+    ("cell", "12: 5 7 9 10\n", "12: 7 9 10\n"),
+    ("path", "2: 2\n", None),  # the payload ends inside a member section
+])
+def test_a_single_fault_gets_the_reference_message(kind, old, new):
+    # each edit changes the first line that holds ``old``
+    text = PAYLOADS[kind]
+    assert old in text
+    edited = text[:text.index(old)] if new is None else text.replace(old, new, 1)
+    assert read_with(deserialize_complex, edited) == read_with(ref_deserialize, edited)
+
+
+def test_readers_agree_on_mutated_payloads(mutate_bytes):
+    """Seeded single edits, of a line or of a byte, of path (both boundary
+    modes), clique and ring payloads: both readers load equal complexes, or
+    both raise SerializationError.  With two faults or more the messages
+    may differ: the array reader reports syntax before invariants."""
+    rng = np.random.default_rng(23)
+    loaded = rejected = 0
+    for _ in range(8):
+        g = random_graph(int(rng.integers(3, 8)), 0.6, rng)
+        for c in (lift_path_complex(g, 3), lift_path_complex(g, 3, "truncation"),
+                  lift_clique_complex(g, 3), lift_ring_complex(g, 5)):
+            text = serialize_complex(c)
+            for k in range(24):
+                if k % 2:
+                    edited = "\n".join(_mutate(text.split("\n"), rng))
+                else:  # latin-1 reads every byte, so odd spaces and line breaks too
+                    edited = mutate_bytes(text.encode(), rng).decode("latin-1")
+                got = read_with(deserialize_complex, edited)
+                want = read_with(ref_deserialize, edited)
+                assert type(got) is type(want), edited
+                if isinstance(want, HigherOrderComplex):
+                    assert got == want, edited
+                loaded += isinstance(want, HigherOrderComplex)
+                rejected += isinstance(want, str)
+    assert loaded > 50 and rejected > 400
+
+
+def test_check_reads_padding_only_at_the_end():
+    # the ring (0, 1, 2) written with the padding inside: -1 is no vertex there
+    c = lift_ring_complex(RINGS, 4)
+    c.carriers[2] = np.array([[0, -1, 1, 2], [0, 1, 3, 4]])
+    with pytest.raises(SerializationError, match="vertex out of range in member 11"):
+        c.check()

@@ -12,6 +12,7 @@ import pytest
 from pathcomplex import network, refine
 from pathcomplex.complexes import (
     HigherOrderComplex,
+    SerializationError,
     cyclic_families,
     lift_clique_complex,
     lift_path_complex,
@@ -1182,6 +1183,13 @@ class TestQuotientOracle:
             for c in [lift(g) for lift in RANDOM_LIFTS] + [lift_path_complex(h, 0)]:
                 assert refine._two_faces(c)
         assert not refine._two_faces(self.one_faced_edge())
+
+    def test_check_rejects_the_one_faced_edge(self):
+        # a checked path holds both end faces of each member, so every
+        # complex that passes check() meets _two_faces
+        with pytest.raises(SerializationError,
+                           match=r"boundary of member 4 lacks its face \(2,\)"):
+            self.one_faced_edge().check()
 
 
 class TestQuotientForm:
