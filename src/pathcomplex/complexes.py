@@ -753,7 +753,7 @@ def _parse_pcx(text: str) -> HigherOrderComplex:
             raise SerializationError(
                 f"member ids must be consecutive; got {gid_s[i]} wanted {expected_gid + i}")
         if len(gid_s) < count:
-            raise IndexError("list index out of range")
+            raise IndexError("list index out of range")  # the payload ends in the section
         carrier[carrier < 0] = n  # out of range all the same, and apart from padding
         limit = n + 1 if kind == "cell" and p == 2 else p + 2  # no carrier is longer
         width = max(p + 1, min(int(lens.max(initial=0)), limit))
