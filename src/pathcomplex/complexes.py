@@ -238,9 +238,10 @@ class HigherOrderComplex:
 
     def check(self):
         """Raise :class:`SerializationError` at the first fault: per dimension, a vertex
-        outside ``range(n)``, a non-canonical carrier or rows out of order; then a carrier
-        that is no walk, clique or chordless cycle of the edges; then, by member id, a
-        boundary id naming no incidence face, one held twice, or a truncation face left out."""
+        outside ``range(n)``, a non-canonical carrier or rows out of order, and at dimension
+        0 a vertex left out; then a carrier that is no walk, clique or chordless cycle of the
+        edges; then, by member id, a boundary id naming no incidence face, one held twice, a
+        truncation face left out, or a row whose ids do not ascend."""
         for p, rows in enumerate(self.carriers):
             pad = np.logical_and.accumulate(rows[:, ::-1] == -1, axis=1)[:, ::-1]
             outside = (~pad & ((rows < 0) | (rows >= self.n))).any(axis=1)
@@ -252,6 +253,9 @@ class HigherOrderComplex:
             if len(rows) > 1 and (np.diff(_row_keys((rows + 1).T)) <= 0).any():
                 raise SerializationError(
                     f"dimension {p} members repeat or leave lexicographic order")
+            if p == 0 and len(rows) != self.n:  # ascending and in range, so one is left out
+                raise SerializationError(
+                    f"dimension 0 has {len(rows)} members, not one per vertex of n={self.n}")
         for p, rows in enumerate(self.carriers[2:], start=2):
             for i in np.flatnonzero(~_spans(self.kind, rows, self.carriers[1]))[:1]:
                 raise SerializationError(f"member {self.dim_offsets[p] + i} is not a "
@@ -269,10 +273,11 @@ class HigherOrderComplex:
             held = np.bincount(row[entry] * need.shape[1] + q, minlength=need.size)
             held, stray = held.reshape(need.shape), np.bincount(entry, minlength=b.size) == 0
             faulty = (need & (held == 0) | (held > 1)).any(axis=1)
-            faulty[row[stray]] = True
+            descent = np.flatnonzero((np.diff(b) <= 0) & (np.diff(row) == 0))
+            faulty[row[stray]] = faulty[row[descent]] = True
             for i in np.flatnonzero(faulty)[:1]:  # the first faulty row, if any
                 gid, wrong = start + i, np.sort(b[stray & (row == i)])
-                missing = map(tuple, faces[i][need[i] & (held[i] == 0)].tolist())
+                missing = sorted(map(tuple, faces[i][need[i] & (held[i] == 0)].tolist()))
                 raise SerializationError(
                     f"dangling boundary id {wrong[0]} for member {gid} (dimension {p})"
                     if wrong.size and not lo <= wrong[0] < start else
@@ -280,7 +285,9 @@ class HigherOrderComplex:
                     if wrong.size else
                     f"repeated boundary id for member {gid}"
                     if (held[i] > 1).any() else
-                    f"boundary of member {gid} lacks its face {min(missing)}")
+                    f"boundary of member {gid} lacks its face {missing[0]}"
+                    if missing else
+                    f"boundary ids of member {gid} do not ascend")
 
     # -- comparisons -----------------------------------------------------
 
@@ -688,17 +695,23 @@ def cyclic_families(cell: Member) -> CyclicFamily:
 
 def serialize_complex(c: HigherOrderComplex) -> str:
     lines = [f"PCX v1 kind={c.kind} n={c.n} maxdim={c.max_dim}"]
-    gid = 0
-    for p, members in enumerate(c.members_by_dim):
-        lines.append(f"dim {p} count {len(members)}")
-        for carrier in members:
-            lines.append(f"{gid}: " + " ".join(str(v) for v in carrier))
-            gid += 1
+    for p, rows in enumerate(c.carriers):
+        lines.append(f"dim {p} count {len(rows)}")
+        held = rows >= 0  # ring rows are padded with -1 at the end
+        lines += _lines(c.dim_offsets[p], rows[held], held.sum(axis=1))
     lines.append("boundaries")
-    indptr, indices = (a.tolist() for a in c.boundary_csr())
-    for gid in range(c.total):
-        lines.append(f"{gid}: " + " ".join(map(str, indices[indptr[gid]:indptr[gid + 1]])))
+    indptr, indices = c.boundary_csr()
+    lines += _lines(0, indices, np.diff(indptr))
     return "\n".join(lines) + "\n"
+
+
+def _lines(first: int, values: np.ndarray, lens: np.ndarray) -> list:
+    """Lines ``id: v v ...``, the ids counted from ``first``, of rows of
+    ``lens`` values each, laid end to end in ``values``."""
+    words = list(map(str, values.tolist()))
+    ends = np.cumsum(lens).tolist()
+    return [f"{gid}: " + " ".join(words[a:b])
+            for gid, a, b in zip(itertools.count(first), [0] + ends, ends)]
 
 
 def deserialize_complex(text: str) -> HigherOrderComplex:

@@ -633,3 +633,31 @@ def test_check_reads_padding_only_at_the_end():
     c.carriers[2] = np.array([[0, -1, 1, 2], [0, 1, 3, 4]])
     with pytest.raises(SerializationError, match="vertex out of range in member 11"):
         c.check()
+
+
+def test_check_rejects_a_boundary_row_that_does_not_ascend():
+    # the path 0-1-2 at dimension 2: every id of member 5's row is one of
+    # its faces, none twice, none left out, but the row is (4, 3)
+    c = lift_path_complex(path_graph(3), 2)
+    indptr, indices = c.boundary_csr()
+    assert c.boundary_of(5).tolist() == [3, 4]
+    swapped = indices.copy()
+    swapped[indptr[5]:indptr[6]] = [4, 3]
+    bad = HigherOrderComplex(c.kind, c.n, c.max_dim, c.carriers, indptr.copy(), swapped)
+    with pytest.raises(SerializationError, match="boundary ids of member 5 do not ascend"):
+        bad.check()
+
+
+def test_check_rejects_a_dimension_0_that_leaves_a_vertex_out():
+    # vertex 2 of the edge 0-1 on three vertices is left out; every other
+    # invariant holds once the edge's id moves down
+    c = lift_path_complex(SimpleGraph.from_edges(3, [(0, 1)]), 1)
+    assert c.counts() == [3, 1]
+    carriers = [c.carriers[0][:2], c.carriers[1]]
+    bad = HigherOrderComplex("path", 3, 1, carriers, np.array([0, 0, 0, 2]),
+                             np.array([0, 1]))
+    with pytest.raises(SerializationError,
+                       match=r"dimension 0 has 2 members, not one per vertex of n=3"):
+        bad.check()
+    HigherOrderComplex("path", 2, 1, carriers, np.array([0, 0, 0, 2]),
+                       np.array([0, 1])).check()

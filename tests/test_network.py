@@ -1,5 +1,7 @@
 """Random-weight forward pass: determinism, invariance, protocol wiring."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -327,6 +329,84 @@ class TestKernels:
         second = forward(c, init_features(c), params)
         assert c._class_plan is plan  # not rebuilt
         assert first.tobytes() == second.tobytes()
+
+
+class TestBlocks:
+    """The kernels and the layers run a block of rows at a time; with the
+    block shrunk to a few elements, inputs that span several blocks, or end
+    exactly on a block's edge, give the bytes of the unblocked forms."""
+
+    @pytest.mark.parametrize("block", [1, 16, 17])
+    def test_elu(self, block, monkeypatch):
+        monkeypatch.setattr(network, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for shape in [(3 * block,), (3 * block + 1,), (0,), (5, 7),
+                      (3 * max(1, block // 7), 7), (3 * max(1, block // 7) + 2, 7),
+                      (4, 40)]:
+            x = rng.normal(scale=3.0, size=shape)
+            x.flat[::5] = -0.0
+            want = where_elu(x)
+            arg = x.copy()
+            assert network._elu(arg) is arg
+            assert arg.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 16, 17])
+    @pytest.mark.parametrize("n, n_out, width", [
+        (500, 40, 3), (500, 48, 1), (340, 17, 1), (0, 3, 2), (200, 9, 33),
+    ])
+    def test_segment_sum(self, block, n, n_out, width, monkeypatch):
+        monkeypatch.setattr(network, "_BLOCK", block)
+        rng = np.random.default_rng(n + width)
+        # every row has entries, so the first slices hold all n_out rows
+        src = np.concatenate([np.arange(n_out), rng.integers(0, n_out, size=n)])
+        values = rng.normal(scale=10.0, size=(src.size, width))
+        check_segment_sum(values, src, n_out)
+
+    @pytest.mark.parametrize("block", [1, 16, 17, 48])
+    def test_forward_and_embed(self, block, srg_specs, monkeypatch):
+        monkeypatch.setattr(network, "_BLOCK", block)
+        rng = np.random.default_rng(5)
+        complexes = [lift_path_complex(load_family(srg_specs["SR(16,6,2,2)"])[1], 3),
+                     lift_path_complex(random_graph(9, 0.5, rng), 3),
+                     lift_ring_complex(random_graph(8, 0.5, rng), 5)]
+        for c in complexes:
+            for hidden in (16, 5):
+                params = NetworkParams.create(block, 3, max_dim=c.max_dim,
+                                              hidden_dim=hidden)
+                want = flat_embed(c, params)
+                assert network.embed(c, params).tobytes() == want.tobytes()
+                feats = init_features(c, hidden)
+                assert forward(c, feats, params).tobytes() == want.tobytes()
+        # the last member, in the last block, is not its class's representative
+        c = complexes[0]
+        colors = stable_colors(c)
+        assert colors[-1] in colors[c.dim_offsets[3]:-1]
+        values = [v.copy() for v in init_features(c).values]
+        values[3][-1, 0] += 1.0
+        with pytest.raises(ValueError, match="dimension 3 are not constant"):
+            forward(c, FeatureState(values), NetworkParams.create(0, 1, max_dim=3))
+
+    def test_embed_transient_memory(self, srg_specs):
+        """Besides the features, ``embed``'s largest arrays are one
+        (pairs, d) message buffer and one (classes, 2d) update input;
+        the temporaries it allocates stay within 1.5 times the two."""
+        c = lift_path_complex(load_family(srg_specs["SR(35,16,6,8)"])[2], 3)
+        params = NetworkParams.create(0, 4, max_dim=3)
+        want = network.embed(c, params)  # builds the coloring and the plan
+        plan = network._class_incidence(c)
+        d = params.hidden_dim
+        pairs = max(cls.pairs[0].size for cls in plan) * d * 8
+        update_input = max(cls.rep.size for cls in plan) * 2 * d * 8
+        assert pairs > 4 * network._BLOCK * 8  # the buffer spans blocks
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = network.embed(c, params)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak <= 1.5 * (pairs + update_input), (peak, pairs, update_input)
 
 
 class TestFlatOracle:
