@@ -35,7 +35,7 @@ from .complexes import (
     check_lift_args,
     lift_complex,
 )
-from .graphs import read_graph6_file, read_text
+from .graphs import check_integer, read_graph6_file, read_text
 from .network import NetworkParams, embed, embedding_distance
 from .refine import WL1_DIM, stable_fingerprint
 from .srg import is_strongly_regular
@@ -118,13 +118,15 @@ class RunConfig:
     threads: int = 1
 
     def validate(self):
-        """Raise ``ValueError`` for any setting the engines cannot run."""
+        """Raise ``TypeError`` or ``ValueError`` for any setting the engines cannot run."""
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         check_lift_args(*self.lift_args[:3])
         NetworkParams.check_shape(self.layers, self.hidden_dim, self.embed_dim)
         if not 0 < self.epsilon < float("inf"):  # nan compares false too
             raise ValueError("epsilon must be positive and finite")
+        check_integer("member_cap", self.member_cap)
+        check_integer("threads", self.threads)
         if self.member_cap <= 0 or self.threads <= 0:
             raise ValueError("member-cap and threads must be positive")
         if self.is_network and not self.seeds:

@@ -21,11 +21,11 @@ reproducible across runs.
 A complex stores one int64 carrier array per dimension (a row per member;
 ring cells shorter than the widest are padded with -1 at the end, which
 sorts before every vertex and so keeps tuple order) and one boundary CSR.
-Liftings enumerate carriers a dimension at a time in numpy: every row is
-repeated once per neighbour of its last vertex and the neighbour appended,
-which keeps the rows in lexicographic order.  Rings grow the same way, as
-induced paths (the working set) until the new vertex closes a chordless
-cycle.  Every bulk sort or lookup of rows goes through one lexicographic
+Liftings enumerate carriers a dimension at a time in numpy, reading the
+graph's neighbour CSR and edge rows in place: every row is repeated once per
+neighbour of its last vertex and the neighbour appended, which keeps the
+rows in lexicographic order.  Rings grow the same way, as induced paths (the
+working set) until the new vertex closes a chordless cycle.  Every bulk sort or lookup of rows goes through one lexicographic
 row key, ``_row_keys``.  One array assembler serves all three kinds: it
 builds each row's canonical faces as arrays and finds their ids among the
 row keys of the dimension below; ``check`` holds a complex to those faces,
@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import DEFAULT_MEMBER_CAP, CapacityError, SimpleGraph
+from .graphs import DEFAULT_MEMBER_CAP, CapacityError, SimpleGraph, check_integer
 
 __all__ = [
     "CapacityError",
@@ -493,6 +493,7 @@ def check_lift_args(kind: str, param: int, boundary_mode: str = "incidence"):
     """Raise ``ValueError`` unless :func:`lift_complex` takes these arguments."""
     if kind not in LIFT_PARAMS:
         raise ValueError(f"unknown lifting kind {kind!r}")
+    check_integer(LIFT_PARAMS[kind], param)
     if kind == "cell" and param < 3:
         raise ValueError("max_ring must be at least 3")
     if param < 0:
@@ -521,19 +522,6 @@ def _check_dims(max_dim, cap):
         )
 
 
-def _adjacency(g: SimpleGraph):
-    """(indptr, neighbours): the ascending neighbour lists as one CSR."""
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, g.adjacency), np.int64, g.n), out=indptr[1:])
-    flat = itertools.chain.from_iterable(g.adjacency)
-    return indptr, np.fromiter(flat, np.int64, int(indptr[-1]))
-
-
-def _edge_rows(g: SimpleGraph) -> np.ndarray:
-    """The edges as rows ``(u, v)``, ``u < v``, in lexicographic order."""
-    return np.array(sorted(g.edges), dtype=np.int64).reshape(-1, 2)
-
-
 def _grow(rows, indptr, nbr):
     """Each row repeated once per neighbour of its last vertex, and those
     neighbours in ascending order, so sorted rows stay sorted once extended."""
@@ -558,12 +546,11 @@ def lift_path_complex(
     """
     check_lift_args("path", max_dim, boundary_mode)
     _check_dims(max_dim, member_cap)
-    indptr, nbr = _adjacency(g)
     walks = np.arange(g.n, dtype=np.int64)[:, None]  # both orientations
     carriers = [walks]
     _check_cap(carriers, member_cap)
     while len(carriers) <= max_dim and len(walks):
-        prev, nxt = _grow(walks, indptr, nbr)
+        prev, nxt = _grow(walks, g.indptr, g.nbr)
         simple = (prev[:, :-1] != nxt[:, None]).all(axis=1)
         walks = np.column_stack((prev[simple], nxt[simple]))
         carriers.append(walks[walks[:, 0] < walks[:, -1]])
@@ -573,7 +560,7 @@ def lift_path_complex(
 
 def _adjacent(edges, u, v) -> np.ndarray:
     """True where the vertices ``u`` and ``v``, broadcast together, are
-    adjacent; ``edges`` are the edge rows of :func:`_edge_rows`."""
+    adjacent; ``edges`` are rows laid out as ``SimpleGraph.edge_rows``."""
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     pairs = np.stack((lo, hi), axis=-1).reshape(-1, 2)
     return (_row_index(edges, pairs) >= 0).reshape(lo.shape)
@@ -591,17 +578,15 @@ def lift_clique_complex(
     """
     check_lift_args("simplex", max_dim)
     _check_dims(max_dim, member_cap)
-    indptr, nbr = _adjacency(g)
-    edges = _edge_rows(g)
     cliques = np.arange(g.n, dtype=np.int64)[:, None]
     carriers = [cliques]
     _check_cap(carriers, member_cap)
     while len(carriers) <= max_dim and len(cliques):
-        prev, nxt = _grow(cliques, indptr, nbr)
+        prev, nxt = _grow(cliques, g.indptr, g.nbr)
         up = nxt > prev[:, -1]
         prev, nxt = prev[up], nxt[up]
         # the new vertex must also neighbour every earlier one
-        clique = _adjacent(edges, prev[:, :-1], nxt[:, None]).all(axis=1)
+        clique = _adjacent(g.edge_rows, prev[:, :-1], nxt[:, None]).all(axis=1)
         cliques = np.column_stack((prev[clique], nxt[clique]))
         carriers.append(cliques)
         _check_cap(carriers, member_cap)
@@ -624,15 +609,13 @@ def lift_ring_complex(
     Ring rows are padded with -1 to the widest ring (at least 3) and sorted.
     """
     check_lift_args("cell", max_ring)
-    indptr, nbr = _adjacency(g)
-    verts = np.arange(g.n, dtype=np.int64)[:, None]
-    edges = _edge_rows(g)
+    verts, edges = np.arange(g.n, dtype=np.int64)[:, None], g.edge_rows
     _check_cap((verts, edges), member_cap)
     paths, rings = edges, [np.zeros((0, 3), dtype=np.int64)]
     for _ in range(3, max_ring + 1):
         if not len(paths):
             break
-        prev, nxt = _grow(paths, indptr, nbr)
+        prev, nxt = _grow(paths, g.indptr, g.nbr)
         fresh = (nxt > prev[:, 0]) & (prev[:, 1:] != nxt[:, None]).all(axis=1)
         prev, nxt = prev[fresh], nxt[fresh]
         adjacent = _adjacent(edges, prev[:, :-1], nxt[:, None])
@@ -821,7 +804,7 @@ _SHAPES = {"path": "walk", "simplex": "clique", "cell": "chordless cycle"}
 def _spans(kind, rows, edges) -> np.ndarray:
     """For each carrier row, True iff it is a walk (path), a clique (simplex)
     or a chordless cycle (cell) on the edge rows ``edges``, laid out as
-    :func:`_edge_rows` lays them; ring rows may be padded with -1."""
+    ``SimpleGraph.edge_rows``; ring rows may be padded with -1."""
     if kind == "path":
         return _adjacent(edges, rows[:, :-1], rows[:, 1:]).all(axis=1)
     i, j = np.triu_indices(rows.shape[1], 1)

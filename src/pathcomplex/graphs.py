@@ -2,7 +2,9 @@
 
 Vertices are always the integers ``0..n-1``; that fixed labelling doubles as
 the injective vertex ordering used to canonically orient paths elsewhere in
-the package.
+the package.  A graph is held in one array form, its sorted edge rows and
+neighbour CSR, which the lifts, the strongly-regular check and the graph6
+codec read in place.
 """
 
 from __future__ import annotations
@@ -45,60 +47,103 @@ class CapacityError(RuntimeError):
     """An input or a member enumeration exceeded its cap."""
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    """Immutable undirected simple graph on vertices ``0..n-1``.
+def check_integer(name: str, value):
+    """Raise ``TypeError`` unless ``value`` is an integer; a bool is none."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
-    ``edges`` holds one ``(u, v)`` tuple with ``u < v`` per edge and
-    ``adjacency`` the derived per-vertex sorted neighbor tuples.  No
-    self-loops, no multi-edges.
+
+class SimpleGraph:
+    """Immutable undirected simple graph on vertices ``0..n-1``, no self-loops,
+    no multi-edges.
+
+    It holds ``n`` and three read-only int64 arrays, built once: ``edge_rows``,
+    one ``(u, v)`` with ``u < v`` per edge in lexicographic order, and the
+    neighbour CSR, which lists the neighbours of ``v`` in ascending order at
+    ``nbr[indptr[v]:indptr[v + 1]]``.  The tuple views ``edges`` (a frozenset)
+    and ``adjacency`` (one tuple per vertex) are built on first use.
     """
 
-    n: int
-    edges: frozenset
-    adjacency: tuple
+    def __init__(self, n: int, rows: np.ndarray):
+        """The graph of the int64 rows ``(u, v)`` in ``range(n)``, no self-loops,
+        either order, repeats allowed; :meth:`from_edges` checks its pairs."""
+        u, v = np.divmod(np.unique(rows.min(axis=1) * n + rows.max(axis=1)), n)
+        src, dst = np.concatenate((v, u)), np.concatenate((u, v))
+        indptr = np.bincount(src + 1, minlength=n + 1)
+        np.cumsum(indptr, out=indptr)
+        self.n, self.edge_rows, self.indptr = n, np.stack((u, v), axis=1), indptr
+        # a stable sort keeps each vertex's lower neighbours, ascending since
+        # the edge rows are sorted, before its higher ones, ascending too
+        self.nbr = dst[np.argsort(src, kind="stable")]
+        for a in (self.edge_rows, self.indptr, self.nbr):
+            a.flags.writeable = False
+        self._edges = self._adjacency = None
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "SimpleGraph":
+        """The graph of any iterable of vertex pairs, repeats collapsed.  The first
+        pair that is a self-loop or leaves ``range(n)`` raises ``ValueError``, and
+        then a vertex id that is no integer ``TypeError``."""
+        check_integer("vertex count", n)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        norm = set()
+        pairs = []
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
-            norm.add((u, v) if u < v else (v, u))
-        adj = [[] for _ in range(n)]
-        for u, v in norm:
-            adj[u].append(v)
-            adj[v].append(u)
-        return SimpleGraph(n, frozenset(norm), tuple(tuple(sorted(a)) for a in adj))
+            pairs.append((u, v))
+        for x in {type(x): x for pair in pairs for x in pair}.values():  # one id per type
+            check_integer("vertex id", x)
+        return SimpleGraph(int(n), np.array(pairs, dtype=np.int64).reshape(len(pairs), 2))
+
+    @property
+    def edges(self) -> frozenset:
+        if self._edges is None:
+            self._edges = frozenset(map(tuple, self.edge_rows.tolist()))
+        return self._edges
+
+    @property
+    def adjacency(self) -> tuple:
+        if self._adjacency is None:
+            flat, ends = self.nbr.tolist(), self.indptr.tolist()
+            self._adjacency = tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
+        return self._adjacency
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
 
     def neighbors(self, v: int) -> tuple:
-        return self.adjacency[v]
+        if not 0 <= v < self.n:  # a negative vertex would read from the end
+            raise IndexError(f"vertex {v} outside range 0..{self.n - 1}")
+        return tuple(self.nbr[self.indptr[v]:self.indptr[v + 1]].tolist())
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return len(self.neighbors(v))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_rows)
 
     def degree_sequence(self) -> tuple:
-        return tuple(sorted(len(a) for a in self.adjacency))
+        return tuple(sorted(np.diff(self.indptr).tolist()))
 
     def adjacency_matrix(self) -> np.ndarray:
         mat = np.zeros((self.n, self.n), dtype=np.int8)
-        for u, v in self.edges:
-            mat[u, v] = mat[v, u] = 1
+        u, v = self.edge_rows.T
+        mat[u, v] = mat[v, u] = 1
         return mat
 
     def sorted_edges(self) -> list:
-        return sorted(self.edges)
+        return list(map(tuple, self.edge_rows.tolist()))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SimpleGraph) and self.n == other.n
+                and np.array_equal(self.edge_rows, other.edge_rows))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edge_rows.tobytes()))
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +207,19 @@ def parse_graph6(line: str) -> SimpleGraph:
         raise GraphParseError(
             f"malformed length header: n={n} needs {nbytes} body bytes, got {len(body)}"
         )
-    bits = "".join(f"{_g6_check_byte(raw, pos + i):06b}" for i, raw in enumerate(body))
-    if "1" in bits[nbits:]:
+    body = np.frombuffer(body, np.uint8)
+    for i in np.flatnonzero((body < 63) | (body > 126))[:1]:
+        _g6_check_byte(int(body[i]), pos + int(i))
+    bits = np.unpackbits((body - 63)[:, None], axis=1)[:, 2:].ravel()
+    if bits[nbits:].any():
         raise GraphParseError(
             f"trailing bits set in final graph6 byte at offset {pos + len(body) - 1}"
         )
-    # the encoder's order: column v holds rows 0..v-1
-    edges, start = [], 0
-    for v in range(1, n):
-        edges.extend((u, v) for u, b in enumerate(bits[start:start + v]) if b == "1")
-        start += v
-    return SimpleGraph.from_edges(n, edges)
+    # the encoder's order: column v, from bit v(v-1)/2 on, holds rows 0..v-1
+    k = np.flatnonzero(bits[:nbits])
+    starts = np.arange(n) * (np.arange(n) - 1) // 2
+    v = np.searchsorted(starts, k, "right") - 1
+    return SimpleGraph(n, np.stack((k - starts[v], v), axis=1))
 
 
 def encode_graph6(g: SimpleGraph) -> str:
@@ -184,19 +231,11 @@ def encode_graph6(g: SimpleGraph) -> str:
         head = [126, 63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63), 63 + (n & 63)]
     else:
         raise ValueError("graph too large for the supported graph6 forms")
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    body = []
-    for i in range(0, len(bits), 6):
-        chunk = bits[i:i + 6]
-        chunk += [0] * (6 - len(chunk))
-        val = 0
-        for b in chunk:
-            val = (val << 1) | b
-        body.append(63 + val)
-    return bytes(head + body).decode("ascii")
+    bits = np.zeros(6 * ((n * (n - 1) // 2 + 5) // 6), dtype=np.uint8)
+    u, v = g.edge_rows.T
+    bits[v * (v - 1) // 2 + u] = 1
+    body = np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2  # six bits a byte
+    return (bytes(head) + (body + 63).tobytes()).decode("ascii")
 
 
 def read_text(path, encoding: str, error: type) -> str:
@@ -274,7 +313,7 @@ def parse_edge_list(text: str, member_cap: int | None = None) -> SimpleGraph:
         edges.append((u, v))
     if n is None:
         raise GraphParseError("missing 'n <count>' header line")
-    return SimpleGraph.from_edges(n, edges)
+    return SimpleGraph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))  # checked above
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +350,13 @@ def apply_permutation(g: SimpleGraph, p: VertexPermutation) -> SimpleGraph:
 
 
 def complement_graph(g: SimpleGraph) -> SimpleGraph:
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
-    ]
-    return SimpleGraph.from_edges(g.n, edges)
+    u, v = np.triu_indices(g.n, 1)
+    absent = g.adjacency_matrix()[u, v] == 0
+    return SimpleGraph(g.n, np.stack((u[absent], v[absent]), axis=1))
 
 
 def disjoint_union(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
-    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
-    return SimpleGraph.from_edges(a.n + b.n, edges)
+    return SimpleGraph(a.n + b.n, np.concatenate((a.edge_rows, b.edge_rows + a.n)))
 
 
 def cycle_graph(n: int) -> SimpleGraph:
@@ -334,19 +368,13 @@ def path_graph(n: int) -> SimpleGraph:
 
 
 def complete_graph(n: int) -> SimpleGraph:
-    return SimpleGraph.from_edges(
-        n, [(u, v) for u in range(n) for v in range(u + 1, n)]
-    )
+    return complement_graph(SimpleGraph.from_edges(n, []))
 
 
 def random_graph(n: int, p: float, rng: np.random.Generator) -> SimpleGraph:
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return SimpleGraph.from_edges(n, edges)
+    u, v = np.triu_indices(n, 1)  # the pairs (u, v) row by row, one draw each
+    keep = rng.random(len(u)) < p
+    return SimpleGraph.from_edges(n, zip(u[keep].tolist(), v[keep].tolist()))
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> VertexPermutation:

@@ -79,6 +79,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexes import HigherOrderComplex, _ranges, _row_keys
+from .graphs import check_integer
 from .refine import _quotient, stable_colors
 
 __all__ = [
@@ -152,7 +153,10 @@ class NetworkParams:
 
     @staticmethod
     def check_shape(layers: int, hidden_dim: int, embed_dim: int):
-        """Raise ``ValueError`` unless a network can have these sizes."""
+        """Raise ``TypeError`` or ``ValueError`` unless a network can have these sizes."""
+        for name, size in (("layers", layers), ("hidden_dim", hidden_dim),
+                           ("embed_dim", embed_dim)):
+            check_integer(name, size)
         if layers < 0:
             raise ValueError(f"layers must be non-negative, got {layers}")
         if hidden_dim <= 0 or embed_dim <= 0:
@@ -160,7 +164,8 @@ class NetworkParams:
 
     @staticmethod
     def check_seed(seed: int):
-        """Raise ``ValueError`` unless ``seed`` can seed the weight generator."""
+        """Raise ``TypeError`` or ``ValueError`` unless ``seed`` can seed the weights."""
+        check_integer("seed", seed)
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
 

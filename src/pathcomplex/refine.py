@@ -72,7 +72,6 @@ feeds one; :func:`refine_pair`, :func:`refinement_trace` and
 from __future__ import annotations
 
 import hashlib
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -85,7 +84,7 @@ from .complexes import (
     _read_only,
     lift_complex,
 )
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, check_integer
 
 __all__ = [
     "ColorHistogram",
@@ -466,9 +465,7 @@ def _record(digest, table):
 
 
 def _check_rounds(name, rounds):
-    # a bool is an int to Python, but no round count
-    if isinstance(rounds, bool) or not isinstance(rounds, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {rounds!r}")
+    check_integer(name, rounds)
     if rounds < 0:
         raise ValueError(f"{name} must be non-negative, got {rounds}")
 

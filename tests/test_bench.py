@@ -110,6 +110,24 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=message):
             RunConfig(method="swl", **setting).validate()
 
+    @pytest.mark.parametrize("method, setting", [
+        ("pcn", {"seeds": (0, 1.5)}), ("pcn", {"seeds": (np.float64(2.0),)}),
+        ("pcn", {"seeds": (True,)}), ("pcn", {"layers": True}), ("pcn", {"hidden_dim": 2.5}),
+        ("pcn", {"embed_dim": np.bool_(True)}), ("swl", {"member_cap": 1.5}),
+        ("pwl", {"threads": 2.0}), ("pwl", {"max_dim": True}), ("cwl", {"max_ring": 4.0}),
+    ], ids=repr)
+    def test_validate_rejects_a_non_integer_setting(self, method, setting):
+        (name, value), = setting.items()
+        if name == "seeds":
+            name, value = "seed", value[-1]
+        with pytest.raises(TypeError) as info:
+            RunConfig(method=method, **setting).validate()
+        assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+    def test_validate_accepts_numpy_integers(self):
+        RunConfig(method="pcn", max_dim=np.int64(2), layers=np.int32(1),
+                  seeds=(np.int64(3), 4), member_cap=np.uint32(10 ** 6)).validate()
+
     @pytest.mark.parametrize("method, setting, message", [
         ("pwl", {"max_dim": -1}, "max_dim must be non-negative"),
         ("swl", {"max_dim": -1}, "max_dim must be non-negative"),

@@ -1,6 +1,7 @@
 """Graph container, codecs, and permutation machinery."""
 
 import time
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -15,6 +16,7 @@ from pathcomplex.graphs import (
     VertexPermutation,
     apply_permutation,
     complete_graph,
+    cycle_graph,
     encode_graph6,
     parse_edge_list,
     parse_graph6,
@@ -160,6 +162,18 @@ class TestEdgeList:
         with pytest.raises(CapacityError, match="4 vertices"):
             parse_edge_list("n 4\n0 1")
 
+    def test_vertex_count_costs_one_int64_per_vertex(self):
+        # an 11-byte header just under the default cap must not cost a Python
+        # object per vertex
+        tracemalloc.start()
+        try:
+            g = parse_edge_list("n 2000000\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 2_000_000 and g.edge_count == 0
+        assert peak < 40 * 2 ** 20
+
     def test_mutated_edge_lists_load_or_raise(self, tmp_path, mutate_bytes):
         # seeded byte edits of valid edge lists, read as the command line
         # reads them
@@ -233,3 +247,12 @@ class TestSimpleGraph:
     def test_multi_edges_collapse(self):
         g = SimpleGraph.from_edges(2, [(0, 1), (1, 0)])
         assert g.edge_count == 1
+
+    @pytest.mark.parametrize("v", [-1, -5, 5, 6])
+    def test_vertex_outside_the_range_raises(self, v):
+        g = cycle_graph(5)
+        with pytest.raises(IndexError, match=f"vertex {v} outside range 0..4"):
+            g.degree(v)
+        with pytest.raises(IndexError, match=f"vertex {v} outside range 0..4"):
+            g.neighbors(v)
+        assert g.degree(4) == 2 and g.neighbors(4) == (0, 3)

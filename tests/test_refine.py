@@ -567,6 +567,15 @@ class TestRefinePair:
             with pytest.raises(TypeError, match="^max_rounds must be an integer, got "):
                 refine_pair(a, b, rule, max_rounds=rounds)
 
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    def test_non_integer_lift_parameter_or_vertex_count(self, value):
+        for lift, name in ((lift_path_complex, "max_dim"), (lift_clique_complex, "max_dim"),
+                           (lift_ring_complex, "max_ring")):
+            with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+                lift(C6, value)
+        with pytest.raises(TypeError, match="^vertex count must be an integer, got "):
+            SimpleGraph.from_edges(value, [])
+
     @pytest.mark.parametrize("rounds", NOT_INTEGERS + [None], ids=repr)
     def test_non_integer_trace_rounds(self, rounds):
         a, b = lift_path_complex(C6, 2), lift_path_complex(TWO_K3, 2)
